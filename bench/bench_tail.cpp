@@ -71,7 +71,7 @@ void print_cluster() {
   TextTable t({"hedge", "queries", "leaf util", "query p50 ms", "query p99 ms",
                "hedge frac"});
   for (double hedge_ms : {0.0, 20.0}) {
-    cfg.hedge_after_ms = hedge_ms;
+    cfg.policy.hedge_after_ms = hedge_ms;
     const auto r = simulate_cluster(cfg);
     t.row({hedge_ms == 0 ? "off" : "20 ms", std::to_string(r.queries),
            TextTable::num(r.mean_leaf_utilization),

@@ -60,9 +60,9 @@ int main() {
   cfg.query_rate_hz = 25;
   cfg.background_rate_hz = 50;
   cfg.background_ms = 4;
-  cfg.hedge_after_ms = 0;
+  cfg.policy.hedge_after_ms = 0;
   const auto before = simulate_cluster(cfg);
-  cfg.hedge_after_ms = chosen_delay;
+  cfg.policy.hedge_after_ms = chosen_delay;
   const auto after = simulate_cluster(cfg);
   std::cout << "DES cluster validation (with queueing interference):\n"
             << "  p99 before: " << TextTable::num(before.query_ms.quantile(0.99), 4)

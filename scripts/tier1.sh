@@ -59,28 +59,37 @@ echo "-- tsan: bench_power --smoke"
 echo "-- tsan: bench_grayfail --smoke"
 (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./bench/bench_grayfail --smoke)
 
-echo "== tier-1: AddressSanitizer smoke (overload-protection paths) =="
+echo "== tier-1: AddressSanitizer smoke (client engine + overload paths) =="
 # The overload layer moves InlineCallbacks through a bounded ring, kills
 # jobs mid-service (fail_all), and short-circuits sends through breaker
-# state -- exactly the lifetime bugs ASan catches.  bench_overload
-# --smoke drives the whole ladder end to end.
+# state; the client engine's counted slab refs ride in closures on both
+# transports (direct and PDES message) and the region flow recycles
+# epoch-guarded records -- exactly the lifetime bugs ASan catches.
+# bench_overload --smoke drives the whole ladder end to end.
 cmake -B build-asan -S . -DARCH21_SAN=address >/dev/null
 cmake --build build-asan -j "$(nproc)" --target \
-  test_des_queue test_resilience test_overload test_grayfail bench_overload
-for t in test_des_queue test_resilience test_overload test_grayfail; do
+  test_des_queue test_resilience test_overload test_grayfail test_pdes \
+  test_multiregion test_golden bench_overload
+for t in test_des_queue test_resilience test_overload test_grayfail \
+         test_pdes test_multiregion test_golden; do
   echo "-- asan: $t"
   ASAN_OPTIONS="halt_on_error=1" "./build-asan/tests/$t"
 done
 echo "-- asan: bench_overload --smoke"
 (cd build-asan && ASAN_OPTIONS="halt_on_error=1" ./bench/bench_overload --smoke)
 
-echo "== tier-1: UndefinedBehaviorSanitizer smoke (histogram + obs) =="
+echo "== tier-1: UndefinedBehaviorSanitizer smoke (histogram, obs, engines) =="
 # Guards the PR4 bugfixes: NaN samples used to reach bucket_of(), where
 # log(NaN) -> size_t is UB; the obs suite exercises the metrics shards
-# and trace ring end to end under UBSan.
+# and trace ring end to end under UBSan.  The cluster client engine (both
+# transports), the region flow (whose 32-region retry mask once shifted
+# a 32-bit value by 32), powercap and the golden cells run here too.
 cmake -B build-ubsan -S . -DARCH21_SAN=undefined >/dev/null
-cmake --build build-ubsan -j "$(nproc)" --target test_histogram test_obs
-for t in test_histogram test_obs; do
+cmake --build build-ubsan -j "$(nproc)" --target test_histogram test_obs \
+  test_resilience test_overload test_grayfail test_pdes test_multiregion \
+  test_power test_golden
+for t in test_histogram test_obs test_resilience test_overload \
+         test_grayfail test_pdes test_multiregion test_power test_golden; do
   echo "-- ubsan: $t"
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" "./build-ubsan/tests/$t"
 done

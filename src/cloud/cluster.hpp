@@ -91,7 +91,7 @@ struct ClusterFaultConfig {
 ///              capacity -- a NIC/GC hiccup, not a saturated server).
 /// All injection randomness (loss coins, spike draws) comes from a
 /// dedicated Rng stream, so disabled gray is byte-identical.  Requires
-/// the serial engine (net_latency_ms == 0) and is mutually exclusive
+/// the direct transport (net_latency_ms == 0) and is mutually exclusive
 /// with powercap (both drive leaf speed).
 struct ClusterGrayConfig {
   /// Stochastic episode trace (off by default).
@@ -146,10 +146,6 @@ struct ClusterConfig {
   double background_ms = 3.0;       ///< mean background task size
   double duration_s = 30;           ///< simulated time
   std::uint64_t seed = 2014;
-  /// Hedging: reissue the straggling leaf request to a random other leaf
-  /// when it exceeds this many ms (0 = disabled).  Legacy alias for
-  /// policy.hedge_after_ms; used when the policy's own field is 0.
-  double hedge_after_ms = 0;
   /// Server-side queue policy applied to every leaf (capacity 0 + FIFO =
   /// the historical unbounded station).  Time unit is ms, like the rest
   /// of the cluster (so sojourn_target is a millisecond budget).
@@ -160,11 +156,13 @@ struct ClusterConfig {
   /// burst.  0 (default) records nothing.
   double goodput_window_s = 0;
   /// Network latency between the root and every leaf, one way, in ms.
-  /// 0 (default) keeps the historical zero-latency model and the legacy
-  /// serial simulator, bit-identical with prior builds.  > 0 switches
-  /// simulate_cluster() to the LP-sharded scenario (cluster_pdes.cpp):
-  /// requests and replies each travel net_latency_ms, and that latency is
-  /// the conservative lookahead the parallel engine hides behind.
+  /// It picks the transport the client engine (cloud/client.hpp) runs
+  /// over.  0 (default) is the direct transport: the zero-latency model
+  /// on one serial simulator, the only one that supports gray injection
+  /// and powercap.  > 0 is the message transport (cluster_pdes.cpp): the
+  /// leaves are sharded into LP groups, requests and replies each travel
+  /// net_latency_ms, and that latency is the conservative lookahead the
+  /// parallel engine hides behind.
   double net_latency_ms = 0;
   /// Worker threads for the parallel engine.  0 (default) runs the
   /// LP-sharded scenario on the serial loopback reference engine; W >= 1
@@ -188,8 +186,8 @@ struct ClusterConfig {
   /// Power-capped co-simulation (off by default; see cloud/powercap.hpp):
   /// every leaf gets a DVFS p-state whose speed divides its service times
   /// and whose power feeds a windowed energy contract against the
-  /// datacenter cap.  Requires net_latency_ms == 0 (the serial engine;
-  /// the cap's window accounting is cluster-global and has no LP
+  /// datacenter cap.  Requires the direct transport (net_latency_ms ==
+  /// 0; the cap's window accounting is cluster-wide and has no LP
   /// sharding).  Disabled, results are byte-identical to pre-powercap
   /// builds.
   PowercapConfig powercap;
@@ -323,14 +321,15 @@ struct ClusterResult {
 };
 
 /// Run the cluster simulation.  Dispatches on net_latency_ms: 0 runs the
-/// historical serial zero-latency model, > 0 the LP-sharded
-/// network-latency model below.
+/// client engine over the direct transport, > 0 over the message
+/// transport below.
 ClusterResult simulate_cluster(const ClusterConfig& cfg);
 
-/// The LP-sharded network-latency scenario (requires net_latency_ms > 0):
-/// the root client engine is one logical process, the leaves are sharded
-/// into leaf_groups more, and every root<->leaf exchange travels
-/// net_latency_ms each way through the PDES engine's mailboxes.
+/// The client engine over the message transport (requires
+/// net_latency_ms > 0): the root client is one logical process, the
+/// leaves are sharded into leaf_groups more, and every root<->leaf
+/// exchange travels net_latency_ms each way through the PDES engine's
+/// mailboxes.
 /// cfg.workers picks the engine (0 = serial loopback reference, >= 1 =
 /// des::ParallelEngine on that many threads) without affecting results.
 /// simulate_cluster() calls this automatically; it is public so benches

@@ -1,91 +1,98 @@
-// The LP-sharded network-latency cluster scenario, written ONCE and
+// The message transport of the cluster client engine (cloud/client.hpp),
 // templated over the PDES engine: des::LoopbackEngine (one serial kernel
 // -- the differential reference) or des::ParallelEngine (conservative
 // window synchronization on the thread pool).  simulate_cluster_pdes()
 // picks the engine from ClusterConfig::workers; results are bit-identical
 // either way (tests/test_pdes.cpp).
 //
-// Partitioning: LP 0 is the root -- query arrivals plus the entire
-// client-side policy engine (deadlines, hedges, retries, budgets,
-// admission, per-replica breakers), a direct port of cluster.cpp's
-// ClusterSim client half.  LPs 1..G each own a contiguous group of
-// leaves: their des::Resource queues, their background load, and their
-// fault transitions.  Every root<->leaf exchange travels net_latency_ms
-// one way, which is exactly the engine's conservative lookahead.
+// Partitioning: LP 0 is the root -- query arrivals plus the whole client
+// engine.  LPs 1..G each own a contiguous group of leaves: their
+// des::Resource queues, their background load, and their fault
+// transitions.  Every root<->leaf exchange travels net_latency_ms one
+// way, which is exactly the engine's conservative lookahead.
 //
-// Differences from the legacy zero-latency model (this is a NEW scenario,
-// gated on net_latency_ms > 0; the legacy path is untouched):
+// Differences from the direct transport (net_latency_ms == 0):
 //   * A request sent to a down leaf is counted lost at the LEAF, when it
 //     arrives -- the root only learns through its timeout, as a real
-//     client would.  (Legacy checked leaf_up_ at send time.)
+//     client would.
 //   * A bounded-queue rejection reaches the root as an explicit reject
 //     message after the return latency, and only then feeds the breaker.
 //   * leaf_ms/query latencies include two network hops.
 //
-// Determinism: all client-side state (slabs, breakers, budget/admission
-// buckets, histograms, crng_/brng_ draws) is touched only by root-LP
-// events; each group's state only by that group's events; cross-LP
-// effects only via engine messages.  Every RNG is either consumed at
-// setup (background, query plan, services, fault trace) in a fixed order
-// or owned by one LP, so a fixed partition replays identically on any
-// engine and any worker count.
+// Determinism: all client-side state is touched only by root-LP events;
+// each group's state only by that group's events; cross-LP effects only
+// via engine messages.  Every RNG is either consumed at setup in a fixed
+// order or owned by the root, so a fixed partition replays identically
+// on any engine and any worker count.
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
+#include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "cloud/client.hpp"
 #include "cloud/cluster.hpp"
-#include "cloud/gray_detect.hpp"
 #include "des/partition.hpp"
 #include "des/pdes.hpp"
-#include "des/resource.hpp"
-#include "reliab/failure_trace.hpp"
-#include "util/slab.hpp"
 #include "util/thread_pool.hpp"
-
-#if ARCH21_OBS_ENABLED
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
 
 namespace arch21::cloud {
 
 namespace {
 
-constexpr double kMsPerHour = 3.6e6;
-
 template <class Engine>
-class PdesClusterSim {
+class MessageCluster : public ClientEngine<MessageCluster<Engine>> {
+  using Base = ClientEngine<MessageCluster<Engine>>;
   using LpT = std::remove_reference_t<decltype(std::declval<Engine&>().lp(0))>;
+  using typename Base::Adopt;
+  using typename Base::CallRef;
+  using typename Base::QueryRef;
+  using Base::cfg_;
+  using Base::groups_;
+  using Base::kNull;
 
  public:
+  static constexpr const char* kRootTrack = "pdes-root";
+  static constexpr bool kScoresLateReplies = false;
+
   /// Extra arguments construct the engine in place (LoopbackEngine takes
   /// the spec; ParallelEngine takes spec + pool).  The engine lives
-  /// INSIDE this object, after the slabs, so teardown order matches
-  /// ClusterSim's contract (see the member comment below).
+  /// INSIDE this object, so its kernels die before the base's leaf
+  /// groups and slabs (the destruction contract in client.hpp).
   template <class... EngineArgs>
-  PdesClusterSim(const ClusterConfig& cfg, unsigned groups,
+  MessageCluster(const ClusterConfig& cfg, unsigned groups,
                  EngineArgs&&... engine_args)
-      : cfg_(cfg),
-        pol_(cfg.policy),
-        groups_(groups),
+      : Base(cfg),
         eng_(std::forward<EngineArgs>(engine_args)...),
-        root_(eng_.lp(0)),
-        rsim_(eng_.lp(0).sim()) {
-    if (pol_.hedge_after_ms == 0 && cfg.hedge_after_ms > 0) {
-      pol_.hedge_after_ms = cfg.hedge_after_ms;
+        root_(eng_.lp(0)) {
+    root_.set_handler([this](LpT&, const des::Payload& p) {
+      if (p.kind == kReply) {
+        on_reply(p.u32, p.a);
+      } else {
+        on_reject(p.u32, p.a);
+      }
+    });
+    groups_.reserve(groups);
+    for (unsigned g = 0; g < groups; ++g) {
+      const auto [lo, hi] = des::group_range(g, cfg.leaves, groups);
+      des::Simulator& gs = eng_.lp(1 + g).sim();
+      this->add_group(gs, lo, hi);
+      eng_.lp(1 + g).set_handler([this, g](LpT& lp, const des::Payload& p) {
+        on_request(g, lp, p);
+      });
+      gs.reserve(static_cast<std::size_t>(cfg.duration_s *
+                                          cfg.background_rate_hz *
+                                          static_cast<double>(hi - lo) * 1.1) +
+                 2 * (hi - lo) + 64);
     }
+    root().reserve(static_cast<std::size_t>(cfg.duration_s *
+                                            cfg.query_rate_hz * 1.2) +
+                   2 * cfg.leaves + 64);
   }
 
-  ClusterResult run();
-
  private:
-  static constexpr std::uint32_t kNull = Slab<int>::kNull;
+  friend Base;
 
   /// Cross-LP message tags (des::Payload::kind).
   enum : std::uint32_t {
@@ -94,95 +101,57 @@ class PdesClusterSim {
     kReject = 3  ///< group -> root: bounced off a full leaf queue
   };
 
-  struct QueryRec {
-    unsigned replied = 0;
-    double start_ms = 0;
-    bool closed = false;
-    des::EventHandle deadline{};
-#if ARCH21_OBS_ENABLED
-    std::uint64_t trace_serial = 0;
-#endif
-  };
-  struct CallRec {
-    bool done = false;
-    unsigned attempts = 0;
-    bool hedged = false;
-    des::EventHandle timeout{};
-    des::EventHandle hedge{};
-    std::uint32_t query = kNull;
-  };
-  struct Breaker {
-    enum State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-    State state = kClosed;
-    std::uint64_t bits = 0;
-    std::uint32_t filled = 0;
-    std::uint32_t idx = 0;
-    std::uint32_t fails = 0;
-    std::uint32_t probes_left = 0;
-    double opened_at = 0;
-    double open_until = 0;
-  };
-  struct Adopt {};
-  struct QueryRef {
-    PdesClusterSim* s = nullptr;
-    std::uint32_t h = kNull;
-    QueryRef(PdesClusterSim* sim, std::uint32_t handle) : s(sim), h(handle) {
-      s->queries_.retain(h);
+  des::Simulator& root() noexcept { return root_.sim(); }
+  void run_events() { eng_.run(); }
+  std::uint64_t executed() const { return eng_.executed(); }
+  std::uint64_t cancelled() const { return eng_.cancelled(); }
+  void publish_engine_metrics() {
+    if constexpr (requires { eng_.publish_metrics(); }) {
+      eng_.publish_metrics();  // pdes.window.* / pdes.mailbox.*
     }
-    QueryRef(Adopt, PdesClusterSim* sim, std::uint32_t handle) noexcept
-        : s(sim), h(handle) {}
-    QueryRef(const QueryRef& o) : s(o.s), h(o.h) {
-      if (s) s->queries_.retain(h);
-    }
-    QueryRef(QueryRef&& o) noexcept : s(o.s), h(o.h) { o.s = nullptr; }
-    QueryRef& operator=(const QueryRef&) = delete;
-    QueryRef& operator=(QueryRef&&) = delete;
-    ~QueryRef() {
-      if (s) s->queries_.release(h);
-    }
-    QueryRec* operator->() const noexcept { return &s->queries_[h]; }
-  };
-  struct CallRef {
-    PdesClusterSim* s = nullptr;
-    std::uint32_t h = kNull;
-    CallRef(Adopt, PdesClusterSim* sim, std::uint32_t handle) noexcept
-        : s(sim), h(handle) {}
-    CallRef(const CallRef& o) : s(o.s), h(o.h) {
-      if (s) s->calls_.retain(h);
-    }
-    CallRef(CallRef&& o) noexcept : s(o.s), h(o.h) { o.s = nullptr; }
-    CallRef& operator=(const CallRef&) = delete;
-    CallRef& operator=(CallRef&&) = delete;
-    ~CallRef() {
-      if (s) s->release_call(h);
-    }
-    CallRec* operator->() const noexcept { return &s->calls_[h]; }
-  };
-
-  void release_call(std::uint32_t h) {
-    const std::uint32_t q = calls_[h].query;
-    if (calls_.release(h) && q != kNull) queries_.release(q);
   }
 
-  /// One leaf-group LP's server-side state.  Touched only by that
-  /// group's events (plus serial setup/teardown).
-  struct Group {
-    std::vector<std::unique_ptr<des::Resource>> leaves;  // local index
-    std::vector<char> up;
-    std::uint64_t lost = 0;   ///< arrivals at a down leaf + fail_all kills
-    unsigned first = 0;       ///< first global leaf id of this group
-    std::uint32_t trace_tid = 0;
-  };
+  // ------------------------------------------------------- root side
 
-  unsigned group_of_leaf(unsigned l) const noexcept {
-    return des::group_of(l, cfg_.leaves, groups_);
+  /// Send one attempt as a kReq to the target's group LP, identified by
+  /// a fresh per-attempt serial (slab handles recycle, so raw handles
+  /// cannot ride in messages; the serial table pins the call until its
+  /// response).
+  void send(const QueryRef&, const CallRef& call, double service,
+            unsigned t) {
+    const std::uint64_t serial = call_by_serial_.size();
+    this->calls_.retain(call.h);
+    call_by_serial_.push_back(call.h);
+    des::Payload req;
+    req.kind = kReq;
+    req.u32 = t;
+    req.a = serial;
+    req.x = service;
+    root_.send(1 + this->group_of(t), cfg_.net_latency_ms, req);
   }
 
-  // ----------------------------------------------------- leaf-group side
+  /// Resolve a response's serial to its call, taking over the table's
+  /// reference.  Every send gets at most one response (a reply or a
+  /// reject); a send lost to a crash keeps its entry until teardown.
+  CallRef take(std::uint64_t serial) {
+    const std::uint32_t h = std::exchange(call_by_serial_[serial], kNull);
+    return CallRef(Adopt{}, this, h);
+  }
 
-  void on_group_msg(unsigned g, LpT& lp, const des::Payload& p) {
-    // Only kReq arrives here.
-    Group& grp = grps_[g];
+  void on_reply(unsigned leaf, std::uint64_t serial) {
+    const CallRef call = take(serial);
+    this->on_leaf_done(QueryRef(this, call->query), call, leaf);
+  }
+
+  void on_reject(unsigned leaf, std::uint64_t serial) {
+    this->on_rejected(leaf);
+    take(serial);  // drop the table's reference
+  }
+
+  // ------------------------------------------------- leaf-group side
+
+  void on_request(unsigned g, LpT& lp, const des::Payload& p) {
+    LeafGroup& grp = groups_[g];
     const unsigned leaf = p.u32;
     const unsigned li = leaf - grp.first;
     const std::uint64_t serial = p.a;
@@ -191,7 +160,9 @@ class PdesClusterSim {
       // (or the query deadline) will tell the client.
       ++grp.lost;
 #if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_lost_, lp.now(), grp.trace_tid);
+      if (this->trace_) {
+        this->trace_->instant(this->tr_.lost, lp.now(), grp.trace_tid);
+      }
 #endif
       return;
     }
@@ -212,752 +183,19 @@ class PdesClusterSim {
       rej.a = serial;
       lp.send(0, cfg_.net_latency_ms, rej);
 #if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_rejected_, lp.now(), grp.trace_tid);
-#endif
-    }
-  }
-
-  void on_leaf_transition(unsigned g, unsigned li, bool up) {
-    Group& grp = grps_[g];
-    if (grp.up[li] && !up) {
-      // Crash: everything queued or in service on this leaf is lost.
-      grp.lost += grp.leaves[li]->fail_all();
-    }
-    grp.up[li] = up ? 1 : 0;
-  }
-
-  // ------------------------------------------------------- root side
-  // A direct port of ClusterSim's client engine: same policy order, same
-  // RNG streams; the leaf send/receive is replaced by engine messages.
-
-  bool admit() {
-    const AdmissionPolicy& a = pol_.admission;
-    if (a.max_in_flight > 0 && in_flight_ >= a.max_in_flight) return false;
-    if (a.rate_qps > 0) {
-      const double now = rsim_.now();
-      adm_tokens_ = std::min(
-          a.burst, adm_tokens_ + (now - adm_last_ms_) * a.rate_qps / 1000.0);
-      adm_last_ms_ = now;
-      if (adm_tokens_ < 1.0) return false;
-      adm_tokens_ -= 1.0;
-    }
-    ++in_flight_;
-    return true;
-  }
-
-  void free_in_flight() {
-    if (in_flight_ > 0) --in_flight_;
-  }
-
-  void note_answered() {
-    if (window_ms_ <= 0) return;
-    const auto idx = static_cast<std::size_t>(rsim_.now() / window_ms_);
-    if (idx >= res_.answered_per_window.size()) {
-      res_.answered_per_window.resize(idx + 1, 0);
-    }
-    ++res_.answered_per_window[idx];
-  }
-
-  void breaker_open(Breaker& b) {
-    b.state = Breaker::kOpen;
-    b.opened_at = rsim_.now();
-    b.open_until =
-        rsim_.now() +
-        pol_.breaker.open_ms *
-            (1.0 + pol_.breaker.open_jitter_frac * brng_.uniform(-1.0, 1.0));
-    ++res_.breaker_open_transitions;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_brk_open_, rsim_.now(), 0);
-#endif
-  }
-
-  bool breaker_allows(unsigned l) {
-    Breaker& b = breakers_[l];
-    if (b.state == Breaker::kClosed) return true;
-    if (b.state == Breaker::kOpen) {
-      if (rsim_.now() < b.open_until) return false;
-      res_.breaker_open_ms += b.open_until - b.opened_at;
-      b.state = Breaker::kHalfOpen;
-      b.probes_left = pol_.breaker.half_open_probes;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_brk_half_, rsim_.now(), 0);
-#endif
-    }
-    if (b.probes_left == 0) return false;
-    --b.probes_left;
-    ++res_.breaker_probes;
-    return true;
-  }
-
-  void breaker_record(unsigned l, bool ok) {
-    if (!pol_.breaker.enabled) return;
-    Breaker& b = breakers_[l];
-    switch (b.state) {
-      case Breaker::kOpen:
-        return;
-      case Breaker::kHalfOpen:
-        if (ok) {
-          b = Breaker{};
-#if ARCH21_OBS_ENABLED
-          if (trace_) trace_->instant(tr_brk_close_, rsim_.now(), 0);
-#endif
-        } else {
-          breaker_open(b);
-        }
-        return;
-      case Breaker::kClosed: {
-        const CircuitBreakerPolicy& p = pol_.breaker;
-        const std::uint64_t bit = std::uint64_t{1} << b.idx;
-        if (b.filled == p.window) {
-          if (b.bits & bit) --b.fails;
-        } else {
-          ++b.filled;
-        }
-        if (ok) {
-          b.bits &= ~bit;
-        } else {
-          b.bits |= bit;
-          ++b.fails;
-        }
-        b.idx = (b.idx + 1) % p.window;
-        if (b.filled >= p.min_samples &&
-            static_cast<double>(b.fails) >=
-                p.failure_threshold * static_cast<double>(b.filled)) {
-          breaker_open(b);
-        }
-        return;
-      }
-    }
-  }
-
-  void on_query_start(std::size_t services_base) {
-    if (pol_.admission.enabled && !admit()) {
-      ++res_.shed_queries;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_shed_, rsim_.now(), 0);
-#endif
-      return;
-    }
-    QueryRef q(Adopt{}, this, queries_.acquire());
-    q->start_ms = rsim_.now();
-    ++started_;
-#if ARCH21_OBS_ENABLED
-    if (trace_) {
-      q->trace_serial = started_;
-      trace_->async_begin(tr_query_, q->trace_serial, rsim_.now());
-    }
-#endif
-    if (pol_.quorum.enabled()) {
-      q->deadline = rsim_.schedule_cancellable(
-          pol_.quorum.deadline_ms, [this, q] { on_deadline(q); });
-    }
-    for (unsigned l = 0; l < cfg_.leaves; ++l) {
-      const std::uint32_t ch = calls_.acquire();
-      queries_.retain(q.h);
-      calls_[ch].query = q.h;
-      CallRef call(Adopt{}, this, ch);
-      issue(q, call, services_[services_base + l], l, false);
-    }
-  }
-
-  /// Issue one attempt (or hedge) of a leaf call: same breaker
-  /// short-circuit/redirect policy as the legacy engine, but the send is
-  /// a kReq message to the target's group LP, identified by a fresh
-  /// per-attempt serial (slab handles recycle, so raw handles cannot ride
-  /// in messages; the serial table pins the call until its response).
-  void issue(const QueryRef& q, const CallRef& call, double service,
-             unsigned target, bool is_hedge) {
-    if (call->done || q->closed) return;
-    ++res_.leaf_requests;
-    if (is_hedge) {
-      ++res_.hedges;
-    } else {
-      ++call->attempts;
-      if (pol_.budget.enabled && call->attempts == 1) {
-        budget_tokens_ =
-            std::min(budget_tokens_ + pol_.budget.ratio, pol_.budget.burst);
-      }
-    }
-
-    unsigned t = target;
-    bool send = true;
-    if (gdet_.engaged() && gdet_.evicted(t)) {
-      // Gray-evicted replica: steer the send to a healthy peer chosen
-      // round-robin (deterministic), same policy as the serial engine.
-      ++res_.gray_redirected_sends;
-      const unsigned alt = gdet_.redirect_target(t);
-      if (alt == GrayDetector::kNone) {
-        send = false;
-      } else {
-        t = alt;
-      }
-    }
-    if (send && pol_.breaker.enabled && !breaker_allows(t)) {
-      ++res_.breaker_short_circuits;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_brk_short_, rsim_.now(), 0);
-#endif
-      send = false;
-      for (int k = 0; k < 3; ++k) {
-        const unsigned alt = static_cast<unsigned>(brng_.below(cfg_.leaves));
-        if (breaker_allows(alt)) {
-          t = alt;
-          send = true;
-          break;
-        }
-      }
-    }
-
-    if (send) {
-      if (gdet_.engaged()) gdet_.on_sent(t);
-      const std::uint64_t serial = call_by_serial_.size();
-      calls_.retain(call.h);
-      call_by_serial_.push_back(call.h);
-      des::Payload req;
-      req.kind = kReq;
-      req.u32 = t;
-      req.a = serial;
-      req.x = service;
-      root_.send(1 + group_of_leaf(t), cfg_.net_latency_ms, req);
-    }
-
-    if (!is_hedge && pol_.hedge_after_ms > 0 && !call->hedged &&
-        call->attempts == 1) {
-      auto hedge = [this, q, call, service] { on_hedge(q, call, service); };
-      static_assert(sizeof(hedge) <= des::Simulator::Action::capacity(),
-                    "hedge closure must fit the Action inline buffer");
-      call->hedge =
-          rsim_.schedule_cancellable(pol_.hedge_after_ms, std::move(hedge));
-    }
-    if (!is_hedge && pol_.retry.timeout_ms > 0) {
-      // Armed per leaf call: with the completion closure this is the
-      // hottest allocation candidate in the whole scenario.  The adaptive
-      // deadline (when on) replaces the fixed timeout with the detector's
-      // tracked p99-based value.
-      const double to = gdet_.engaged() && pol_.gray.adaptive_deadline
-                            ? gdet_.timeout_ms()
-                            : pol_.retry.timeout_ms;
-      auto timeout = [this, q, call, service, t] {
-        on_timeout(q, call, service, t);
-      };
-      static_assert(sizeof(timeout) <= des::Simulator::Action::capacity(),
-                    "timeout closure must fit the Action inline buffer");
-      call->timeout = rsim_.schedule_cancellable(to, std::move(timeout));
-    }
-  }
-
-  void on_root_msg(const des::Payload& p) {
-    if (p.kind == kReply) {
-      on_reply(p.u32, p.a);
-    } else {
-      on_reject(p.u32, p.a);
-    }
-  }
-
-  void on_reply(unsigned leaf, std::uint64_t serial) {
-    breaker_record(leaf, true);
-    const std::uint32_t h = call_by_serial_[serial];
-    if (h == kNull) return;  // record already resolved and freed
-    call_by_serial_[serial] = kNull;
-    CallRef call(Adopt{}, this, h);  // adopt the table's reference
-    if (call->done) return;          // a faster attempt already answered
-    call->done = true;
-    QueryRef q(this, call->query);
-    rsim_.cancel(call->timeout);
-    rsim_.cancel(call->hedge);
-    const double lat = rsim_.now() - q->start_ms;
-    // The detector scores every reply it can still attribute to a query
-    // (serial-resolved records lose the start time, so replies racing an
-    // already-resolved record go unscored -- a bounded difference from
-    // the serial engine, identical across PDES engines/worker counts).
-    if (gdet_.engaged()) gdet_.on_reply(leaf, lat);
-    res_.leaf_ms.add(lat);
-    if (q->closed) return;  // degraded/failed; reply arrived late
-    if (++q->replied == cfg_.leaves) {
-      q->closed = true;
-      free_in_flight();
-      rsim_.cancel(q->deadline);
-      ++res_.ok_queries;
-      res_.sum_result_quality += 1.0;
-      res_.query_ms.add(lat);
-      note_answered();
-#if ARCH21_OBS_ENABLED
-      if (mreg_) mreg_->record(m_query_ms_, lat);
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, rsim_.now(),
-                          tr_quality_arg_, 1.0);
+      if (this->trace_) {
+        this->trace_->instant(this->tr_.rejected, lp.now(), grp.trace_tid);
       }
 #endif
     }
   }
 
-  void on_reject(unsigned leaf, std::uint64_t serial) {
-    // A rejecting replica is an overloaded replica; the armed timeout
-    // recovers the call itself.  For the gray detector the bounce is a
-    // LOUD refusal, not a silent non-reply -- discount it from the
-    // reply-rate denominator or redirected load evicts healthy replicas.
-    breaker_record(leaf, false);
-    if (gdet_.engaged()) gdet_.on_rejected(leaf);
-    const std::uint32_t h = call_by_serial_[serial];
-    if (h == kNull) return;
-    call_by_serial_[serial] = kNull;
-    CallRef drop(Adopt{}, this, h);  // release the table's reference
-  }
-
-  void on_deadline(const QueryRef& q) {
-    if (q->closed) return;
-    q->closed = true;
-    free_in_flight();
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_deadline_, rsim_.now(), 0);
-#endif
-    if (q->replied >= quorum_needed_) {
-      ++res_.degraded_queries;
-      const double quality = static_cast<double>(q->replied) /
-                             static_cast<double>(cfg_.leaves);
-      res_.sum_result_quality += quality;
-      res_.query_ms.add(rsim_.now() - q->start_ms);
-      note_answered();
-#if ARCH21_OBS_ENABLED
-      if (mreg_) mreg_->record(m_query_ms_, rsim_.now() - q->start_ms);
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, rsim_.now(),
-                          tr_quality_arg_, quality);
-      }
-#endif
-    } else {
-      ++res_.failed_queries;
-#if ARCH21_OBS_ENABLED
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, rsim_.now(),
-                          tr_quality_arg_, 0.0);
-      }
-#endif
-    }
-  }
-
-  void on_hedge(const QueryRef& q, const CallRef& call, double service) {
-    if (call->done || q->closed) return;
-    call->hedged = true;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_hedge_, rsim_.now(), 0);
-#endif
-    issue(q, call, service, static_cast<unsigned>(crng_.below(cfg_.leaves)),
-          true);
-  }
-
-  void on_timeout(const QueryRef& q, const CallRef& call, double service,
-                  unsigned target) {
-    breaker_record(target, false);
-    if (call->done || q->closed) return;
-    ++res_.timeouts;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_timeout_, rsim_.now(), 0);
-#endif
-    if (call->attempts > pol_.retry.max_retries) return;
-    if (pol_.budget.enabled) {
-      if (budget_tokens_ < 1.0) {
-        ++res_.budget_denials;
-#if ARCH21_OBS_ENABLED
-        if (trace_) trace_->instant(tr_denied_, rsim_.now(), 0);
-#endif
-        return;
-      }
-      budget_tokens_ -= 1.0;
-    }
-    ++res_.retries;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_retry_, rsim_.now(), 0);
-#endif
-    const double backoff = pol_.retry.backoff_ms(call->attempts - 1, crng_);
-    const unsigned alt = static_cast<unsigned>(crng_.below(cfg_.leaves));
-    auto retry = [this, q, call, service, alt] {
-      issue(q, call, service, alt, false);
-    };
-    static_assert(sizeof(retry) <= des::Simulator::Action::capacity(),
-                  "retry closure must fit the Action inline buffer");
-    rsim_.schedule(backoff, std::move(retry));
-  }
-
-#if ARCH21_OBS_ENABLED
-  /// One trace ring is single-writer, so attaching requires workers <= 1
-  /// (enforced by ClusterConfig::validate).  Track map: 0 = root kernel
-  /// + client lifecycle markers, 1 + l = leaf l's serve spans, and
-  /// 1 + leaves + g = group g's kernel instants (per-LP event streams
-  /// stay separable in the Chrome trace).
-  void attach_trace(obs::TraceBuffer* t) {
-    trace_ = t;
-    rsim_.set_trace(t, 0);
-    t->name_thread(0, "pdes-root");
-    for (unsigned g = 0; g < groups_; ++g) {
-      Group& grp = grps_[g];
-      des::Simulator& gs = eng_.lp(1 + g).sim();
-      if (&gs != &rsim_) {
-        // Parallel engine: each group LP owns a kernel of its own.
-        grp.trace_tid = 1 + cfg_.leaves + g;
-        gs.set_trace(t, grp.trace_tid);
-        t->name_thread(grp.trace_tid, "pdes-lp-" + std::to_string(1 + g));
-      }
-      for (unsigned li = 0; li < grp.leaves.size(); ++li) {
-        const unsigned l = grp.first + li;
-        t->name_thread(1 + l, "leaf-" + std::to_string(l));
-        grp.leaves[li]->set_trace(t, 1 + l);
-      }
-    }
-    tr_query_ = t->intern("query");
-    tr_retry_ = t->intern("retry");
-    tr_hedge_ = t->intern("hedge");
-    tr_timeout_ = t->intern("timeout");
-    tr_lost_ = t->intern("lost");
-    tr_denied_ = t->intern("budget-denied");
-    tr_deadline_ = t->intern("deadline");
-    tr_quality_arg_ = t->intern("quality");
-    tr_shed_ = t->intern("shed");
-    tr_rejected_ = t->intern("rejected");
-    tr_brk_open_ = t->intern("breaker-open");
-    tr_brk_half_ = t->intern("breaker-half-open");
-    tr_brk_close_ = t->intern("breaker-close");
-    tr_brk_short_ = t->intern("breaker-short-circuit");
-  }
-
-  void publish_metrics() {
-    auto& m = obs::MetricsRegistry::global();
-    if (!m.enabled()) return;
-    m.add(m.counter("cluster.queries"), res_.queries);
-    m.add(m.counter("cluster.retries"), res_.retries);
-    m.add(m.counter("cluster.hedges"), res_.hedges);
-    m.add(m.counter("cluster.timeouts"), res_.timeouts);
-    m.add(m.counter("cluster.lost_requests"), res_.lost_requests);
-    m.add(m.counter("cluster.budget_denials"), res_.budget_denials);
-    m.add(m.counter("cluster.shed.queries"), res_.shed_queries);
-    m.add(m.counter("cluster.shed.rejected"), res_.rejected_requests);
-    m.add(m.counter("cluster.shed.expired"), res_.expired_drops);
-    m.add(m.counter("cluster.breaker.opens"), res_.breaker_open_transitions);
-    m.add(m.counter("cluster.breaker.short_circuits"),
-          res_.breaker_short_circuits);
-    m.add(m.counter("cluster.breaker.probes"), res_.breaker_probes);
-    m.gauge_max(m.gauge("cluster.breaker.open_ms"), res_.breaker_open_ms);
-    std::size_t qhwm = 0;
-    for (const Group& grp : grps_) {
-      for (const auto& leaf : grp.leaves) {
-        qhwm = std::max(qhwm, leaf->queue_high_water());
-      }
-    }
-    m.gauge_max(m.gauge("cluster.leaf_queue.hwm"), static_cast<double>(qhwm));
-    m.add(m.counter("des.executed"), eng_.executed());
-    m.add(m.counter("des.cancelled"), eng_.cancelled());
-    m.gauge_max(m.gauge("slab.queries.hwm"),
-                static_cast<double>(queries_.high_water()));
-    m.gauge_max(m.gauge("slab.calls.hwm"),
-                static_cast<double>(calls_.high_water()));
-    if constexpr (requires { eng_.publish_metrics(); }) {
-      eng_.publish_metrics();  // pdes.window.* / pdes.mailbox.*
-    }
-  }
-#endif
-
-  const ClusterConfig& cfg_;
-  ResiliencePolicy pol_;
-  unsigned groups_ = 0;
-  ClusterResult res_;
-  // Declaration order is a destruction contract, mirroring ClusterSim:
-  // the slabs come before eng_ so pending actions destroyed during
-  // Simulator teardown (e.g. after an exception) can still release the
-  // QueryRef/CallRef guards they captured, and grps_ comes after eng_ so
-  // every Resource is torn down while its owning Simulator is alive.
-  Slab<QueryRec> queries_;
-  Slab<CallRec> calls_;
   Engine eng_;
   LpT& root_;
-  des::Simulator& rsim_;
-  std::vector<Group> grps_;
-  std::vector<Breaker> breakers_;
   /// serial -> call handle (kNull once resolved).  Each entry holds one
-  /// counted reference from send until its reply/reject arrives; replies
-  /// that never come (lost to a crash) keep their record until teardown.
+  /// counted reference from send until its reply/reject arrives.
   std::vector<std::uint32_t> call_by_serial_;
-  reliab::FailureTraceConfig fcfg_;
-  GrayDetector gdet_;  ///< client-side fail-slow detector (root LP only)
-  std::vector<double> services_;
-  Rng crng_{0};
-  Rng brng_{0};
-  double budget_tokens_ = 0;
-  double adm_tokens_ = 0;
-  double adm_last_ms_ = 0;
-  unsigned in_flight_ = 0;
-  double window_ms_ = 0;
-  unsigned quorum_needed_ = 0;
-  double horizon_ms_ = 0;
-  std::uint64_t started_ = 0;
-
-#if ARCH21_OBS_ENABLED
-  obs::TraceBuffer* trace_ = nullptr;
-  std::uint32_t tr_query_ = 0, tr_retry_ = 0, tr_hedge_ = 0, tr_timeout_ = 0,
-                tr_lost_ = 0, tr_denied_ = 0, tr_deadline_ = 0,
-                tr_quality_arg_ = 0, tr_shed_ = 0, tr_rejected_ = 0,
-                tr_brk_open_ = 0, tr_brk_half_ = 0, tr_brk_close_ = 0,
-                tr_brk_short_ = 0;
-  obs::MetricsRegistry* mreg_ = nullptr;
-  obs::MetricsRegistry::MetricId m_query_ms_ = 0;
-#endif
 };
-
-template <class Engine>
-ClusterResult PdesClusterSim<Engine>::run() {
-  Rng rng(cfg_.seed);
-  horizon_ms_ = cfg_.duration_s * 1000.0;
-  window_ms_ = cfg_.goodput_window_s * 1000.0;
-  res_.goodput_window_s = cfg_.goodput_window_s;
-
-  // --- LP wiring: handlers, leaf resources, pre-sizing ---
-  root_.set_handler(
-      [this](LpT&, const des::Payload& p) { on_root_msg(p); });
-  grps_.resize(groups_);
-  for (unsigned g = 0; g < groups_; ++g) {
-    Group& grp = grps_[g];
-    const auto [lo, hi] = des::group_range(g, cfg_.leaves, groups_);
-    grp.first = lo;
-    grp.up.assign(hi - lo, 1);
-    des::Simulator& gs = eng_.lp(1 + g).sim();
-    grp.leaves.reserve(hi - lo);
-    for (unsigned l = lo; l < hi; ++l) {
-      grp.leaves.push_back(
-          std::make_unique<des::Resource>(gs, 1, cfg_.leaf_queue));
-    }
-    eng_.lp(1 + g).set_handler([this, g](LpT& lp, const des::Payload& p) {
-      on_group_msg(g, lp, p);
-    });
-    gs.reserve(static_cast<std::size_t>(cfg_.duration_s *
-                                        cfg_.background_rate_hz *
-                                        static_cast<double>(hi - lo) * 1.1) +
-               2 * (hi - lo) + 64);
-  }
-  rsim_.reserve(static_cast<std::size_t>(cfg_.duration_s *
-                                         cfg_.query_rate_hz * 1.2) +
-                2 * cfg_.leaves + 64);
-  if (pol_.breaker.enabled) {
-    breakers_.assign(cfg_.leaves, Breaker{});
-    brng_ = Rng(cfg_.seed, 0xB4EA);
-  }
-  if (pol_.gray.enabled) {
-    // Detection is root-LP state only (all scoring happens on replies the
-    // root observes), so the port needs no cross-LP coordination.  Gray
-    // INJECTION is a serial-engine feature (validate() rejects it here).
-    gdet_.init(pol_.gray, cfg_.leaves, pol_.retry.timeout_ms);
-    const double step = pol_.gray.eval_interval_ms;
-    const auto evals = static_cast<std::uint64_t>(std::ceil(horizon_ms_ / step));
-    for (std::uint64_t k = 1; k <= evals; ++k) {
-      rsim_.schedule_at(static_cast<double>(k) * step,
-                        [this] { gdet_.eval(rsim_.now()); });
-    }
-  }
-#if ARCH21_OBS_ENABLED
-  if (cfg_.trace) attach_trace(cfg_.trace);
-  {
-    auto& mreg = obs::MetricsRegistry::global();
-    if (mreg.enabled()) {
-      mreg_ = &mreg;
-      m_query_ms_ = mreg.timer("cluster.query_ms", 1e-2, 1e5, 90);
-    }
-  }
-#endif
-  if (window_ms_ > 0) {
-    res_.answered_per_window.reserve(
-        static_cast<std::size_t>(horizon_ms_ / window_ms_) + 4);
-  }
-  const double mu_log = std::log(cfg_.leaf_service_ms) -
-                        0.5 * cfg_.service_sigma * cfg_.service_sigma;
-
-  // --- failure injection: expand the stochastic trace + deterministic
-  // burst into per-leaf EFFECTIVE up/down transitions at setup (a serial
-  // replay of the legacy own/domain state machine), then schedule each
-  // leaf's transitions on its owning group LP.  No cross-LP coordination
-  // is needed at runtime because the expansion already resolved the
-  // domain coupling. ---
-  {
-    struct Raw {
-      double t_ms;
-      int order;  // stable tie-break: scheduling order of the legacy path
-      reliab::FailureEvent ev;
-      int burst = 0;  // 0 = trace event, 1 = burst down, 2 = burst up
-    };
-    std::vector<Raw> raw;
-    if (cfg_.faults.enabled) {
-      fcfg_.leaves = cfg_.leaves;
-      fcfg_.leaves_per_domain = cfg_.faults.leaves_per_domain;
-      fcfg_.leaf = cfg_.faults.leaf;
-      fcfg_.domain = cfg_.faults.domain;
-      fcfg_.horizon_hours = horizon_ms_ / kMsPerHour;
-      fcfg_.seed = Rng(cfg_.seed, 0xFA17).next();
-      const reliab::FailureTrace trace = reliab::generate_failure_trace(fcfg_);
-      res_.leaf_failures = trace.leaf_failures;
-      res_.domain_failures = trace.domain_failures;
-      res_.availability_measured = trace.measured_leaf_availability(fcfg_);
-      res_.availability_predicted = fcfg_.predicted_leaf_availability();
-      raw.reserve(trace.events.size() + 2);
-      for (const reliab::FailureEvent& ev : trace.events) {
-        raw.push_back(Raw{ev.t_hours * kMsPerHour,
-                          static_cast<int>(raw.size()), ev});
-      }
-    }
-    if (cfg_.faults.burst_enabled()) {
-      const double t0 = cfg_.faults.burst_start_s * 1000.0;
-      raw.push_back(
-          Raw{t0, static_cast<int>(raw.size()), reliab::FailureEvent{}, 1});
-      raw.push_back(Raw{t0 + cfg_.faults.burst_duration_s * 1000.0,
-                        static_cast<int>(raw.size()), reliab::FailureEvent{},
-                        2});
-      res_.leaf_failures += std::min(cfg_.faults.burst_leaves, cfg_.leaves);
-    }
-    std::stable_sort(raw.begin(), raw.end(), [](const Raw& a, const Raw& b) {
-      return a.t_ms < b.t_ms;
-    });
-    std::vector<char> own(cfg_.leaves, 1);
-    std::vector<char> eff(cfg_.leaves, 1);
-    std::vector<char> dom(std::max(fcfg_.domains(), 1u), 1);
-    auto set_eff = [&](double t_ms, unsigned l, bool up) {
-      if ((eff[l] != 0) == up) return;
-      eff[l] = up ? 1 : 0;
-      const unsigned g = group_of_leaf(l);
-      const unsigned li = l - grps_[g].first;
-      eng_.lp(1 + g).sim().schedule_at(
-          t_ms, [this, g, li, up] { on_leaf_transition(g, li, up); });
-    };
-    for (const Raw& r : raw) {
-      if (r.burst == 1) {
-        const unsigned n = std::min(cfg_.faults.burst_leaves, cfg_.leaves);
-        for (unsigned l = 0; l < n; ++l) {
-          own[l] = 0;
-          set_eff(r.t_ms, l, false);
-        }
-      } else if (r.burst == 2) {
-        const unsigned n = std::min(cfg_.faults.burst_leaves, cfg_.leaves);
-        for (unsigned l = 0; l < n; ++l) {
-          own[l] = 1;
-          const bool dom_ok = fcfg_.leaves_per_domain == 0 ||
-                              dom[l / fcfg_.leaves_per_domain];
-          set_eff(r.t_ms, l, dom_ok);
-        }
-      } else if (r.ev.is_domain) {
-        dom[r.ev.entity] = r.ev.up ? 1 : 0;
-        const unsigned begin = r.ev.entity * fcfg_.leaves_per_domain;
-        const unsigned end =
-            std::min(begin + fcfg_.leaves_per_domain, cfg_.leaves);
-        for (unsigned l = begin; l < end; ++l) {
-          set_eff(r.t_ms, l, r.ev.up && own[l]);
-        }
-      } else {
-        own[r.ev.entity] = r.ev.up ? 1 : 0;
-        const bool dom_ok = fcfg_.leaves_per_domain == 0 ||
-                            dom[r.ev.entity / fcfg_.leaves_per_domain];
-        set_eff(r.t_ms, r.ev.entity, r.ev.up && dom_ok);
-      }
-    }
-  }
-
-  // --- background load on each leaf (dropped while the leaf is down);
-  // RNG split in GLOBAL leaf order so draws are partition-independent ---
-  for (unsigned l = 0; l < cfg_.leaves; ++l) {
-    double t = 0;
-    Rng brng = rng.split();
-    if (cfg_.background_rate_hz <= 0) continue;
-    const unsigned g = group_of_leaf(l);
-    Group& grp = grps_[g];
-    const unsigned li = l - grp.first;
-    des::Resource* leaf = grp.leaves[li].get();
-    const char* up = &grp.up[li];
-    des::Simulator& gs = eng_.lp(1 + g).sim();
-    while (true) {
-      t += brng.exponential(1000.0 / cfg_.background_rate_hz);
-      if (t >= horizon_ms_) break;
-      const double sz = brng.exponential(cfg_.background_ms);
-      gs.schedule_at(t, [leaf, sz, up] {
-        if (*up) leaf->request(sz, nullptr);
-      });
-    }
-  }
-
-  // --- fan-out queries through the policy engine ---
-  Rng qrng = rng.split();
-  crng_ = rng.split();
-  budget_tokens_ = pol_.budget.burst;
-  adm_tokens_ = pol_.admission.burst;
-  quorum_needed_ = static_cast<unsigned>(std::ceil(
-      pol_.quorum.quorum_fraction * static_cast<double>(cfg_.leaves)));
-
-  double qt = 0;
-  while (true) {
-    qt += qrng.exponential(1000.0 / cfg_.query_rate_hz);
-    if (qt >= horizon_ms_) break;
-    const std::size_t base = services_.size();
-    for (unsigned l = 0; l < cfg_.leaves; ++l) {
-      services_.push_back(qrng.lognormal(mu_log, cfg_.service_sigma));
-    }
-    rsim_.schedule_at(qt, [this, base] { on_query_start(base); });
-  }
-
-  eng_.run();  // drain: completions may straggle past the horizon
-
-  res_.queries = started_;
-  res_.failed_queries += started_ - res_.ok_queries - res_.degraded_queries -
-                         res_.failed_queries;
-
-  // Server-side folds, in global leaf order (deterministic).
-  for (const Group& grp : grps_) {
-    res_.lost_requests += grp.lost;
-    for (const auto& leaf : grp.leaves) {
-      res_.rejected_requests += leaf->rejected();
-      res_.expired_drops += leaf->expired();
-    }
-  }
-  if (gdet_.engaged()) {
-    res_.gray_evictions = gdet_.evictions();
-    res_.gray_probations = gdet_.probations();
-    res_.gray_zombies = gdet_.zombies();
-    res_.adaptive_deadline_ms =
-        pol_.gray.adaptive_deadline ? gdet_.timeout_ms() : 0;
-  }
-  if (pol_.breaker.enabled) {
-    // Close the books at the time of the LAST event anywhere -- the same
-    // instant on either engine (the loopback clock stops at the global
-    // last event; the parallel engine's per-LP maximum equals it).
-    double end = 0;
-    for (std::uint32_t i = 0; i < eng_.lps(); ++i) {
-      end = std::max(end, eng_.lp(i).now());
-    }
-    for (const Breaker& b : breakers_) {
-      if (b.state == Breaker::kOpen) {
-        res_.breaker_open_ms += std::min(end, b.open_until) - b.opened_at;
-      }
-    }
-  }
-
-  double util = 0;
-  for (const Group& grp : grps_) {
-    for (const auto& leaf : grp.leaves) {
-      util += leaf->busy_time() / horizon_ms_;
-    }
-  }
-  res_.mean_leaf_utilization = util / static_cast<double>(cfg_.leaves);
-  res_.hedge_fraction =
-      res_.leaf_requests ? static_cast<double>(res_.hedges) /
-                               static_cast<double>(res_.leaf_requests)
-                         : 0;
-  res_.retry_amplification =
-      started_ ? static_cast<double>(res_.leaf_requests) /
-                     (static_cast<double>(started_) *
-                      static_cast<double>(cfg_.leaves))
-               : 0;
-  res_.goodput_qps =
-      static_cast<double>(res_.ok_queries + res_.degraded_queries) /
-      cfg_.duration_s;
-  res_.frac_over_leaf_p99 =
-      res_.query_ms.fraction_above(res_.leaf_ms.quantile(0.99));
-#if ARCH21_OBS_ENABLED
-  publish_metrics();
-#endif
-  return std::move(res_);
-}
 
 }  // namespace
 
@@ -977,19 +215,17 @@ ClusterResult simulate_cluster_pdes(const ClusterConfig& cfg) {
   // commit buffers for the per-window message burst (a window spans the
   // lookahead, so the burst is bounded by the query rate times the
   // lookahead times the fanout, with slack for leaf answers and timer
-  // events) so warm-up never grows a vector mid-run.  The scenario ctor
-  // still applies its finer per-sim estimates on top.
+  // events) so warm-up never grows a vector mid-run.  The transport's
+  // constructor still applies its finer per-sim estimates on top.
   spec.reserve_events =
       static_cast<std::size_t>(cfg.query_rate_hz * cfg.net_latency_ms * 1e-3 *
                                static_cast<double>(cfg.leaves) * 8.0) +
       1024;
   if (cfg.workers == 0) {
-    PdesClusterSim<des::LoopbackEngine> sim(cfg, groups, spec);
-    return sim.run();
+    return MessageCluster<des::LoopbackEngine>(cfg, groups, spec).run();
   }
-  ThreadPool pool(cfg.workers);  // outlives the engine inside `sim`
-  PdesClusterSim<des::ParallelEngine> sim(cfg, groups, spec, pool);
-  return sim.run();
+  ThreadPool pool(cfg.workers);  // outlives the engine inside the sim
+  return MessageCluster<des::ParallelEngine>(cfg, groups, spec, pool).run();
 }
 
 }  // namespace arch21::cloud

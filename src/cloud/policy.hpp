@@ -14,7 +14,9 @@
 // against injected failures so their costs -- extra backend load, shed
 // traffic, lost result quality -- are measured, not assumed.
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -199,6 +201,159 @@ struct ResiliencePolicy {
   GrayDetectionPolicy gray;
 
   void validate() const;
+};
+
+/// A token bucket: the one piece of arithmetic behind the retry budget
+/// (credited per first attempt, debited per retry), root admission, and
+/// the region balancer's per-region caps (both refilled with time).
+struct TokenBucket {
+  double tokens = 0;
+  double last_ms = 0;  ///< time of the last refill()
+
+  /// Add `n` tokens, capped at `burst`.
+  void credit(double n, double burst) noexcept {
+    tokens = std::min(tokens + n, burst);
+  }
+  /// Accrue `rate_qps` tokens per second of the milliseconds elapsed
+  /// since the last refill, capped at `burst`.
+  void refill(double now_ms, double rate_qps, double burst) noexcept {
+    tokens = std::min(burst, tokens + (now_ms - last_ms) * rate_qps / 1000.0);
+    last_ms = now_ms;
+  }
+  /// Take one whole token if one is available.
+  bool take() noexcept {
+    if (tokens < 1.0) return false;
+    tokens -= 1.0;
+    return true;
+  }
+};
+
+/// The runtime of CircuitBreakerPolicy, one breaker per replica (a leaf,
+/// or a region), shared by the cluster client and the region balancer.
+/// Each rolling outcome window is a bit set in one word (window <= 64),
+/// so recording an outcome is a handful of ALU ops.  The bank schedules
+/// no events: open -> half-open happens lazily in allows() once the
+/// cooldown has passed.  Cooldown jitter draws from the bank's own Rng,
+/// which the cluster also uses for its redirect draws.
+class BreakerBank {
+ public:
+  /// A state change, reported so callers can trace it.
+  enum class Event : std::uint8_t { kNone, kOpened, kHalfOpened, kClosed };
+
+  /// Arm `n` closed breakers; a disabled policy arms none, and the bank
+  /// then allows every send and ignores every outcome.
+  void init(const CircuitBreakerPolicy& pol, unsigned n, Rng rng) {
+    pol_ = pol;
+    if (!pol.enabled) return;
+    b_.assign(n, Breaker{});
+    rng_ = rng;
+  }
+
+  Rng& rng() noexcept { return rng_; }
+
+  /// May a send go to replica `i` at `now`?  Grants and counts half-open
+  /// probes; `ev` (when given) learns of an open -> half-open transition.
+  bool allows(unsigned i, double now, Event* ev = nullptr) {
+    if (!pol_.enabled) return true;
+    Breaker& b = b_[i];
+    if (b.state == Breaker::kClosed) return true;
+    if (b.state == Breaker::kOpen) {
+      if (now < b.open_until) return false;
+      open_ms_ += b.open_until - b.opened_at;
+      b.state = Breaker::kHalfOpen;
+      b.probes_left = pol_.half_open_probes;
+      if (ev) *ev = Event::kHalfOpened;
+    }
+    if (b.probes_left == 0) return false;
+    --b.probes_left;
+    ++probes_;
+    return true;
+  }
+
+  /// Record an observed outcome against replica `i`: a reply is a
+  /// success; a timeout or a queue rejection is a failure.  While
+  /// half-open, any failure re-opens -- including a straggling timeout
+  /// from before the trip, which is deliberately conservative (the
+  /// replica is still hurting us).  While open, outcomes are ignored;
+  /// the cooldown alone decides re-entry.
+  Event record(unsigned i, bool ok, double now) {
+    if (!pol_.enabled) return Event::kNone;
+    Breaker& b = b_[i];
+    switch (b.state) {
+      case Breaker::kOpen:
+        return Event::kNone;
+      case Breaker::kHalfOpen:
+        if (!ok) return open(b, now);
+        b = Breaker{};  // close with a fresh window
+        return Event::kClosed;
+      case Breaker::kClosed:
+        break;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << b.idx;
+    if (b.filled == pol_.window) {
+      if (b.bits & bit) --b.fails;
+    } else {
+      ++b.filled;
+    }
+    if (ok) {
+      b.bits &= ~bit;
+    } else {
+      b.bits |= bit;
+      ++b.fails;
+    }
+    b.idx = (b.idx + 1) % pol_.window;
+    if (b.filled >= pol_.min_samples &&
+        static_cast<double>(b.fails) >=
+            pol_.failure_threshold * static_cast<double>(b.filled)) {
+      return open(b, now);
+    }
+    return Event::kNone;
+  }
+
+  std::uint64_t opens() const noexcept { return opens_; }
+  std::uint64_t probes() const noexcept { return probes_; }
+  /// Summed milliseconds the breakers spent open, closing the books at
+  /// `end` on those still open.
+  double open_ms(double end) const noexcept {
+    double ms = open_ms_;
+    for (const Breaker& b : b_) {
+      if (b.state == Breaker::kOpen) {
+        ms += std::min(end, b.open_until) - b.opened_at;
+      }
+    }
+    return ms;
+  }
+
+ private:
+  struct Breaker {
+    enum State : std::uint8_t { kClosed, kOpen, kHalfOpen };
+    State state = kClosed;
+    std::uint64_t bits = 0;    // rolling outcomes, 1 = failure
+    std::uint32_t filled = 0;  // outcomes currently in the window
+    std::uint32_t idx = 0;     // next write position
+    std::uint32_t fails = 0;   // failures currently in the window
+    std::uint32_t probes_left = 0;
+    double opened_at = 0;
+    double open_until = 0;
+  };
+
+  /// Trip a breaker open with a jittered cooldown.
+  Event open(Breaker& b, double now) {
+    b.state = Breaker::kOpen;
+    b.opened_at = now;
+    b.open_until =
+        now + pol_.open_ms *
+                  (1.0 + pol_.open_jitter_frac * rng_.uniform(-1.0, 1.0));
+    ++opens_;
+    return Event::kOpened;
+  }
+
+  CircuitBreakerPolicy pol_;
+  std::vector<Breaker> b_;
+  Rng rng_{0};
+  std::uint64_t opens_ = 0;
+  std::uint64_t probes_ = 0;
+  double open_ms_ = 0;  // closed-out open periods
 };
 
 }  // namespace arch21::cloud

@@ -180,6 +180,9 @@ bool PowercapRuntime::admit(double now_ms) {
     ++stats_.shed_queries;
     return false;
   }
+  // Not the shared cloud::TokenBucket: this refill multiplies by 1e-3
+  // where the shared bucket divides by 1000.0, and the two round
+  // differently, so sharing it would change E33's results.
   admit_tokens_ = std::min(
       admit_burst_,
       admit_tokens_ + (now_ms - admit_last_ms_) * admit_rate_qps_ * 1e-3);

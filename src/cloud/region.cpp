@@ -275,8 +275,7 @@ class MultiRegionSim {
         horizon_ms_(cfg.duration_s * 1000.0),
         wan_(cfg.wan, cfg.duration_s * 1000.0,
              Rng(cfg.seed, kWanTraceStream).next()),
-        wrng_(cfg.seed, kWanJitterStream),
-        brng_(cfg.seed, kBreakerStream) {
+        wrng_(cfg.seed, kWanJitterStream) {
     const auto nr = static_cast<unsigned>(cfg_.regions.size());
     stations_.reserve(nr);
     dists_.reserve(nr);
@@ -297,10 +296,12 @@ class MultiRegionSim {
     healthy_.assign(nr, 1);
     consec_fail_.assign(nr, 0);
     consec_ok_.assign(nr, 0);
-    cap_tokens_.assign(nr, fo_.admission_burst);
-    cap_last_ms_.assign(nr, 0.0);
-    if (fo_.breaker.enabled) breakers_.assign(nr, Breaker{});
-    btokens_ = fo_.budget_burst;
+    caps_.assign(nr, TokenBucket{fo_.admission_burst, 0.0});
+    brk_.init(fo_.breaker, nr, Rng(cfg.seed, kBreakerStream));
+    budget_.tokens = fo_.budget_burst;
+    // Every region tried: computed in 64 bits, since 32 regions fill the
+    // whole 32-bit mask.
+    all_tried_ = static_cast<std::uint32_t>((std::uint64_t{1} << nr) - 1u);
 
     // Static preference orders: region indices by base origin->region
     // latency (ties by index).  Sticky routing pins the home region
@@ -388,6 +389,8 @@ class MultiRegionSim {
     // timeouts, so the queue drains on its own.
     sim_.run();
 
+    res_.breaker_open_transitions = brk_.opens();
+
     for (std::size_t r = 0; r < stations_.size(); ++r) {
       RegionStats& s = res_.regions[r];
       s.expired = stations_[r]->expired();
@@ -423,19 +426,9 @@ class MultiRegionSim {
     des::EventHandle timeout;
   };
 
-  /// Per-region circuit breaker (bit-window state machine, as
-  /// cluster.cpp keeps per leaf; CircuitBreakerPolicy caps window at 64).
-  struct Breaker {
-    enum State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-    State state = kClosed;
-    std::uint64_t bits = 0;
-    std::uint32_t filled = 0;
-    std::uint32_t idx = 0;
-    std::uint32_t fails = 0;
-    std::uint32_t probes_left = 0;
-    double open_until = 0;
-  };
-
+  // A hand-rolled free list rather than util::Slab: Slab::release resets
+  // the slot, which would erase the epoch that makes stale WAN and
+  // completion events miss.
   std::uint32_t alloc_rec() {
     if (!free_.empty()) {
       const std::uint32_t h = free_.back();
@@ -504,87 +497,8 @@ class MultiRegionSim {
   /// Take one admission token for region r (token bucket at the
   /// balancer, rate = admission_cap_frac * capacity_qps).
   bool cap_take(unsigned r) {
-    const double now = sim_.now();
-    cap_tokens_[r] =
-        std::min(fo_.admission_burst,
-                 cap_tokens_[r] +
-                     (now - cap_last_ms_[r]) * cap_rate_qps_[r] / 1000.0);
-    cap_last_ms_[r] = now;
-    if (cap_tokens_[r] < 1.0) return false;
-    cap_tokens_[r] -= 1.0;
-    return true;
-  }
-
-  void budget_credit() {
-    if (fo_.budget_enabled) {
-      btokens_ = std::min(fo_.budget_burst, btokens_ + fo_.budget_ratio);
-    }
-  }
-
-  bool budget_take() {
-    if (btokens_ < 1.0) return false;
-    btokens_ -= 1.0;
-    return true;
-  }
-
-  void breaker_open(Breaker& b) {
-    b.state = Breaker::kOpen;
-    b.open_until =
-        sim_.now() +
-        fo_.breaker.open_ms *
-            (1.0 + fo_.breaker.open_jitter_frac * brng_.uniform(-1.0, 1.0));
-    ++res_.breaker_open_transitions;
-  }
-
-  bool breaker_allows(unsigned r) {
-    Breaker& b = breakers_[r];
-    if (b.state == Breaker::kClosed) return true;
-    if (b.state == Breaker::kOpen) {
-      if (sim_.now() < b.open_until) return false;
-      b.state = Breaker::kHalfOpen;
-      b.probes_left = fo_.breaker.half_open_probes;
-    }
-    if (b.probes_left == 0) return false;
-    --b.probes_left;
-    return true;
-  }
-
-  void breaker_record(unsigned r, bool ok) {
-    if (!fo_.breaker.enabled) return;
-    Breaker& b = breakers_[r];
-    switch (b.state) {
-      case Breaker::kOpen:
-        return;
-      case Breaker::kHalfOpen:
-        if (ok) {
-          b = Breaker{};
-        } else {
-          breaker_open(b);
-        }
-        return;
-      case Breaker::kClosed: {
-        const CircuitBreakerPolicy& p = fo_.breaker;
-        const std::uint64_t bit = std::uint64_t{1} << b.idx;
-        if (b.filled == p.window) {
-          if (b.bits & bit) --b.fails;
-        } else {
-          ++b.filled;
-        }
-        if (ok) {
-          b.bits &= ~bit;
-        } else {
-          b.bits |= bit;
-          ++b.fails;
-        }
-        b.idx = (b.idx + 1) % p.window;
-        if (b.filled >= p.min_samples &&
-            static_cast<double>(b.fails) >=
-                p.failure_threshold * static_cast<double>(b.filled)) {
-          breaker_open(b);
-        }
-        return;
-      }
-    }
+    caps_[r].refill(sim_.now(), cap_rate_qps_[r], fo_.admission_burst);
+    return caps_[r].take();
   }
 
   // --- routing ------------------------------------------------------
@@ -639,7 +553,7 @@ class MultiRegionSim {
         ++res_.regions[r].capped;
         continue;
       }
-      if (fo_.breaker.enabled && !breaker_allows(r)) {
+      if (!brk_.allows(r, sim_.now())) {
         ++res_.breaker_short_circuits;
         continue;
       }
@@ -663,7 +577,9 @@ class MultiRegionSim {
     rec.origin = rq.origin;
     rec.tried = 0;
     rec.attempts = 0;
-    budget_credit();  // first attempts fund the retry budget
+    if (fo_.budget_enabled) {  // first attempts fund the retry budget
+      budget_.credit(fo_.budget_ratio, fo_.budget_burst);
+    }
     route_and_send(h);
   }
 
@@ -739,7 +655,7 @@ class MultiRegionSim {
     sim_.cancel(rec.timeout);
     rec.timeout = {};
     const std::uint32_t r = rec.region;
-    breaker_record(r, true);
+    brk_.record(r, true, sim_.now());
     const double latency = sim_.now() - rec.t_arrival;
     res_.request_ms.add(latency);
     ++res_.answered;
@@ -756,7 +672,7 @@ class MultiRegionSim {
     sim_.cancel(rec.timeout);
     rec.timeout = {};
     ++rec.epoch;
-    breaker_record(rec.region, false);
+    brk_.record(rec.region, false, sim_.now());
     retry(h);
   }
 
@@ -766,7 +682,7 @@ class MultiRegionSim {
     rec.timeout = {};
     ++res_.timeouts;
     ++rec.epoch;  // abandon the in-flight attempt
-    breaker_record(rec.region, false);
+    brk_.record(rec.region, false, sim_.now());
     retry(h);
   }
 
@@ -777,7 +693,7 @@ class MultiRegionSim {
       free_rec(h);
       return;
     }
-    if (fo_.budget_enabled && !budget_take()) {
+    if (fo_.budget_enabled && !budget_.take()) {
       ++res_.budget_denials;
       ++res_.failed;
       free_rec(h);
@@ -785,7 +701,7 @@ class MultiRegionSim {
     }
     // Prefer an untried region; once every region has been tried, the
     // ladder starts over (the blackout may have cleared).
-    if (rec.tried == (1u << down_.size()) - 1u) rec.tried = 0;
+    if (rec.tried == all_tried_) rec.tried = 0;
     route_and_send(h);
   }
 
@@ -808,7 +724,6 @@ class MultiRegionSim {
   des::Simulator sim_;
   Wan wan_;
   Rng wrng_;  // WAN jitter only
-  Rng brng_;  // breaker cooldown jitter only
   std::vector<std::unique_ptr<des::Resource>> stations_;
   std::vector<LatencyDist> dists_;
   std::vector<Rng> srng_;  // per-region service draws
@@ -819,10 +734,10 @@ class MultiRegionSim {
   std::vector<char> healthy_;
   std::vector<unsigned> consec_fail_;
   std::vector<unsigned> consec_ok_;
-  std::vector<double> cap_tokens_;
-  std::vector<double> cap_last_ms_;
-  std::vector<Breaker> breakers_;
-  double btokens_ = 0;
+  std::vector<TokenBucket> caps_;  // per-region admission caps
+  BreakerBank brk_;                 // per-region breakers + jitter stream
+  TokenBucket budget_;              // retry budget
+  std::uint32_t all_tried_ = 0;     // `tried` mask with every region set
   std::vector<std::vector<unsigned>> pref_;
   std::vector<std::vector<unsigned>> sticky_pref_;
   std::vector<unsigned> scratch_order_;

@@ -76,13 +76,11 @@ std::vector<ScenarioResult> resilience_scenarios(const ClusterConfig& base,
   ClusterConfig baseline = base;
   baseline.faults.enabled = false;
   baseline.policy = {};
-  baseline.hedge_after_ms = 0;
   out.push_back(run_scenario("baseline (no faults)", baseline, trials, pool));
 
   ClusterConfig injected = base;
   injected.faults.enabled = true;
   injected.policy = {};
-  injected.hedge_after_ms = 0;
   out.push_back(run_scenario("failures, no mitigation", injected, trials,
                              pool));
 

@@ -94,7 +94,7 @@ TEST(Cluster, HedgingCutsTailUnderInterference) {
   cfg.background_rate_hz = 60;
   cfg.background_ms = 6;
   const auto base = simulate_cluster(cfg);
-  cfg.hedge_after_ms = 20;
+  cfg.policy.hedge_after_ms = 20;
   const auto hedged = simulate_cluster(cfg);
   EXPECT_LT(hedged.query_ms.quantile(0.99),
             base.query_ms.quantile(0.99) * 0.9);
@@ -125,7 +125,7 @@ TEST(Cluster, ValidationRejectsBadConfigByName) {
   cfg.duration_s = 0;
   EXPECT_THROW(simulate_cluster(cfg), std::invalid_argument);
   cfg = {};
-  cfg.hedge_after_ms = -1;
+  cfg.policy.hedge_after_ms = -1;
   EXPECT_THROW(simulate_cluster(cfg), std::invalid_argument);
   // Nested fault / policy structs are validated through the top level.
   cfg = {};

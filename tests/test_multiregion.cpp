@@ -583,6 +583,28 @@ TEST(MultiRegion, RetryBudgetAndBreakersEngageUnderBlackout) {
   EXPECT_EQ(r.requests, r.answered + r.failed + r.shed);
 }
 
+// Once every region has been tried, the fail-open retry ladder starts
+// over -- at 32 regions too, where the all-tried mask fills all 32 bits.
+// A timeout shorter than any round trip fails every attempt, so each
+// request must run its whole ladder and fail, never be shed.
+TEST(MultiRegion, RetryLadderRestartsAtEveryRegionCount) {
+  for (const unsigned n : {3u, 32u}) {
+    SCOPED_TRACE(n);
+    MultiRegionConfig cfg;
+    cfg.regions.assign(n, RegionConfig{});
+    cfg.wan.regions = n;
+    cfg.traffic.session_rate_hz = 4;
+    cfg.duration_s = 1;
+    cfg.failover.timeout_ms = 0.5;  // < the 1 ms intra-region hop
+    cfg.failover.max_retries = 40;
+    const auto r = simulate_multiregion(cfg);
+    ASSERT_GT(r.requests, 0u);
+    EXPECT_EQ(r.shed, 0u);
+    EXPECT_EQ(r.failed, r.requests);
+    EXPECT_EQ(r.attempts, 41 * r.requests);
+  }
+}
+
 TEST(MultiRegion, StickySpilloverPinsHomeZone) {
   MultiRegionConfig cfg = small_config();
   cfg.route = RoutePolicy::kStickySpillover;

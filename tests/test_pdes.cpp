@@ -5,8 +5,8 @@
 //   * a generic multi-LP mesh on ParallelEngine at workers 1/2/4/8
 //     against LoopbackEngine (one unchanged serial Simulator);
 //   * the LP-sharded cluster scenario: whole ClusterResults bit-identical
-//     (histograms included) across worker counts, with and without the
-//     full policy/fault stack;
+//     (every field, histograms included) across worker counts, with and
+//     without the full policy/fault stack and gray detection;
 //   * lookahead/partition/config validation and cross-LP cancellation
 //     across a window boundary.
 // The same binary runs under TSan in scripts/tier1.sh, so the barrier
@@ -149,19 +149,23 @@ TEST(PdesEngine, RunUntilAlignsClocksAndResumes) {
   spec.lookahead = 1.0;
   ThreadPool pool(2);
   ParallelEngine eng(spec, pool);
-  std::vector<double> fired;
+  // One log per LP: the two LPs run on different workers, so a shared
+  // vector would be a data race in the test itself.
+  std::vector<double> fired[2];
   for (std::uint32_t i = 0; i < 2; ++i) {
     eng.lp(i).set_handler([](auto&, const Payload&) {});
     for (const double t : {1.0, 2.0, 3.0}) {
       auto& lp = eng.lp(i);
-      lp.sim().schedule_at(t, [&fired, &lp] { fired.push_back(lp.now()); });
+      lp.sim().schedule_at(
+          t, [&log = fired[i], &lp] { log.push_back(lp.now()); });
     }
   }
   EXPECT_EQ(eng.run(2.5), 4u);  // t=1 and t=2 on both LPs
   EXPECT_EQ(eng.lp(0).now(), 2.5);  // horizon alignment, like Simulator::run
   EXPECT_EQ(eng.lp(1).now(), 2.5);
   EXPECT_EQ(eng.run(), 2u);  // resumes: the two t=3 events remain
-  EXPECT_EQ(fired.size(), 6u);
+  EXPECT_EQ(fired[0], (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(fired[1], (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
 TEST(PdesEngine, CrossLpCancelAcrossWindowBoundary) {
@@ -239,12 +243,29 @@ void expect_same_result(const cloud::ClusterResult& a,
   EXPECT_EQ(a.breaker_probes, b.breaker_probes);
   EXPECT_EQ(a.breaker_open_ms, b.breaker_open_ms);
   EXPECT_EQ(a.answered_per_window, b.answered_per_window);
+  EXPECT_EQ(a.goodput_window_s, b.goodput_window_s);
+  EXPECT_EQ(a.gray_episodes, b.gray_episodes);
+  EXPECT_EQ(a.gray_dropped_replies, b.gray_dropped_replies);
+  EXPECT_EQ(a.gray_evictions, b.gray_evictions);
+  EXPECT_EQ(a.gray_probations, b.gray_probations);
+  EXPECT_EQ(a.gray_zombies, b.gray_zombies);
+  EXPECT_EQ(a.gray_redirected_sends, b.gray_redirected_sends);
+  EXPECT_EQ(a.adaptive_deadline_ms, b.adaptive_deadline_ms);
+  EXPECT_EQ(a.power_shed_queries, b.power_shed_queries);
+  EXPECT_EQ(a.power_gate_stalls, b.power_gate_stalls);
+  EXPECT_EQ(a.power_overruns, b.power_overruns);
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.peak_window_w, b.peak_window_w);
+  EXPECT_EQ(a.power_cap_w, b.power_cap_w);
+  EXPECT_EQ(a.power_window_s, b.power_window_s);
+  EXPECT_EQ(a.energy_j_per_window, b.energy_j_per_window);
   EXPECT_EQ(a.retry_amplification, b.retry_amplification);
   EXPECT_EQ(a.goodput_qps, b.goodput_qps);
   EXPECT_EQ(a.availability_measured, b.availability_measured);
   EXPECT_EQ(a.availability_predicted, b.availability_predicted);
   EXPECT_EQ(a.sum_result_quality, b.sum_result_quality);
   EXPECT_EQ(a.frac_over_leaf_p99, b.frac_over_leaf_p99);
+  EXPECT_EQ(a.trials, b.trials);
 }
 
 cloud::ClusterConfig small_pdes_config(std::uint64_t seed) {
@@ -314,6 +335,25 @@ TEST(ClusterPdes, BitIdenticalWithFullPolicyAndFaultStack) {
     cfg.workers = workers;
     const cloud::ClusterResult got = cloud::simulate_cluster_pdes(cfg);
     expect_same_result(got, want, "policy+fault stack");
+  }
+}
+
+// The message transport scores late and duplicate replies exactly as the
+// direct one does; the detector's evictions, redirects and adaptive
+// deadline must replay bit-identically at every worker count.
+TEST(ClusterPdes, BitIdenticalWithGrayDetection) {
+  cloud::ClusterConfig cfg = stacked_pdes_config(kSeeds[0]);
+  cfg.policy.retry.timeout_ms = 60;  // room for the adaptive deadline
+  cfg.policy.gray.enabled = true;
+  cfg.policy.gray.eval_interval_ms = 200;
+  const cloud::ClusterResult want = cloud::simulate_cluster_pdes(cfg);
+  EXPECT_GT(want.gray_evictions, 0u);
+  EXPECT_GT(want.gray_redirected_sends, 0u);
+  EXPECT_GT(want.hedges, 0u);  // duplicate replies reach the detector
+  for (const unsigned workers : kWorkerCounts) {
+    cfg.workers = workers;
+    const cloud::ClusterResult got = cloud::simulate_cluster_pdes(cfg);
+    expect_same_result(got, want, "policy+fault stack + gray detection");
   }
 }
 

@@ -322,14 +322,6 @@ TEST(ClusterResilience, HedgeUnifiedWithPolicyEngine) {
   EXPECT_DOUBLE_EQ(via_policy.hedge_fraction,
                    static_cast<double>(via_policy.hedges) /
                        static_cast<double>(via_policy.leaf_requests));
-  // Legacy knob routes into the same engine: identical results.
-  ClusterConfig legacy = cfg;
-  legacy.policy.hedge_after_ms = 0;
-  legacy.hedge_after_ms = 20;
-  const auto via_legacy = cloud::simulate_cluster(legacy);
-  EXPECT_EQ(via_legacy.hedges, via_policy.hedges);
-  EXPECT_DOUBLE_EQ(via_legacy.query_ms.quantile(0.99),
-                   via_policy.query_ms.quantile(0.99));
 }
 
 // ------------------------------------------------- multi-trial aggregate
