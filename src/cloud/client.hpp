@@ -385,9 +385,7 @@ class ClientEngine {
   /// reply per call resolves it.
   void on_leaf_done(const QueryRef& q, const CallRef& call, unsigned target) {
     breaker_record(target, true);
-    if (gdet_.engaged() && (Transport::kScoresLateReplies || !call->done)) {
-      gdet_.on_reply(target, now() - q->start_ms);
-    }
+    if (gdet_.engaged()) gdet_.on_reply(target, now() - q->start_ms);
     if (call->done) return;  // a faster attempt already answered
     call->done = true;
     self().root().cancel(call->timeout);

@@ -280,7 +280,6 @@ namespace {
 class DirectCluster : public ClientEngine<DirectCluster> {
  public:
   static constexpr const char* kRootTrack = "des-kernel";
-  static constexpr bool kScoresLateReplies = true;
 
   explicit DirectCluster(const ClusterConfig& cfg) : ClientEngine(cfg) {
     add_group(sim_, 0, cfg.leaves);

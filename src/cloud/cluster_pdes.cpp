@@ -54,7 +54,6 @@ class MessageCluster : public ClientEngine<MessageCluster<Engine>> {
 
  public:
   static constexpr const char* kRootTrack = "pdes-root";
-  static constexpr bool kScoresLateReplies = false;
 
   /// Extra arguments construct the engine in place (LoopbackEngine takes
   /// the spec; ParallelEngine takes spec + pool).  The engine lives
