@@ -11,16 +11,18 @@
 //     and returns as kReply/kReject through the PDES engine's mailboxes.
 //
 // ClientEngine<Transport> is a CRTP base, so every per-attempt call into
-// the transport is static dispatch: no virtual call, no std::function,
-// and no heap allocation once the slabs and event tiers have reached
-// their high-water marks.  It owns everything the client does: query and
-// call slabs with their counted refs, admission and the powercap admit
-// hook, retries with backoff and the budget, hedges, timeouts and the
-// adaptive deadline, quorum deadlines, breakers, the gray detector,
-// goodput windows, trace instants, publish_metrics(), and the end-of-run
-// folds.  It also builds the leaf plan both transports run: background
-// arrivals, pre-drawn service times, and the fault trace and crash burst
-// expanded into per-leaf transitions.
+// the transport is static dispatch: no virtual call and no std::function
+// (and, on the direct transport, no heap allocation once the slabs and
+// event tiers have reached their high-water marks; the message
+// transport's serial table grows by one entry per send).  It owns
+// everything the client does: query and call slabs with their counted
+// refs, admission and the powercap admit hook, retries with backoff and
+// the budget, hedges, timeouts and the adaptive deadline, quorum
+// deadlines, breakers, the gray detector, goodput windows, trace
+// instants, publish_metrics(), and the end-of-run folds.  It also builds
+// the leaf plan both transports run: background arrivals, pre-drawn
+// service times, and the fault trace and crash burst expanded into
+// per-leaf transitions.
 //
 // A transport provides root() (the client's simulator), send() (deliver
 // one attempt), run_events(), executed()/cancelled(), the name of the
@@ -164,7 +166,7 @@ class ClientEngine {
   }
 
   /// Create leaves [lo, hi) as one group on `sim`.
-  LeafGroup& add_group(des::Simulator& sim, unsigned lo, unsigned hi) {
+  void add_group(des::Simulator& sim, unsigned lo, unsigned hi) {
     LeafGroup& grp = groups_.emplace_back();
     grp.first = lo;
     grp.sim = &sim;
@@ -174,7 +176,6 @@ class ClientEngine {
       grp.leaves.push_back(
           std::make_unique<des::Resource>(sim, 1, cfg_.leaf_queue));
     }
-    return grp;
   }
 
   unsigned group_of(unsigned l) const noexcept {

@@ -377,9 +377,6 @@ TEST(GoldenCluster, PdesPolicyFaultStack) {
                 0x2f705d5929695e2fULL);
 }
 
-// Rebaselined when the message transport adopted the direct transport's
-// gray scoring of late and duplicate replies (it used to skip replies to
-// calls already answered).
 TEST(GoldenCluster, PdesStackGrayDetection) {
   EXPECT_DIGEST(simulate_cluster(pdes_gray_cluster()),
                 0x1cc2107f08246f60ULL);
