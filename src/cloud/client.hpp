@@ -25,7 +25,8 @@
 // per-leaf transitions.
 //
 // A transport provides root() (the client's simulator), send() (deliver
-// one attempt), run_events(), executed()/cancelled(), the name of the
+// one attempt), run_events(), the kernel counters executed(),
+// cancelled(), rebuckets() and rebucket_moved(), the name of the
 // root trace track (kRootTrack), and may shadow the plan_powercap(),
 // plan_gray_injection() and publish_engine_metrics() hooks.
 //
@@ -679,6 +680,8 @@ class ClientEngine {
     m.gauge_max(m.gauge("cluster.leaf_queue.hwm"), static_cast<double>(qhwm));
     m.add(m.counter("des.executed"), self().executed());
     m.add(m.counter("des.cancelled"), self().cancelled());
+    m.add(m.counter("des.rebucket.count"), self().rebuckets());
+    m.add(m.counter("des.rebucket.moved"), self().rebucket_moved());
     m.gauge_max(m.gauge("slab.queries.hwm"),
                 static_cast<double>(queries_.high_water()));
     m.gauge_max(m.gauge("slab.calls.hwm"),

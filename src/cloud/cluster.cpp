@@ -299,6 +299,10 @@ class DirectCluster : public ClientEngine<DirectCluster> {
   void run_events() { sim_.run(); }
   std::uint64_t executed() const noexcept { return sim_.executed(); }
   std::uint64_t cancelled() const noexcept { return sim_.cancelled(); }
+  std::uint64_t rebuckets() const noexcept { return sim_.rebuckets(); }
+  std::uint64_t rebucket_moved() const noexcept {
+    return sim_.rebucket_moved();
+  }
 
   /// Deliver one attempt.  A down leaf swallows it (only a timeout or
   /// the query deadline will tell the client); a full bounded queue

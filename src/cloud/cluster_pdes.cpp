@@ -104,6 +104,8 @@ class MessageCluster : public ClientEngine<MessageCluster<Engine>> {
   void run_events() { eng_.run(); }
   std::uint64_t executed() const { return eng_.executed(); }
   std::uint64_t cancelled() const { return eng_.cancelled(); }
+  std::uint64_t rebuckets() const { return eng_.rebuckets(); }
+  std::uint64_t rebucket_moved() const { return eng_.rebucket_moved(); }
   void publish_engine_metrics() {
     if constexpr (requires { eng_.publish_metrics(); }) {
       eng_.publish_metrics();  // pdes.window.* / pdes.mailbox.*

@@ -81,6 +81,8 @@ ParallelEngine::Stats ParallelEngine::stats() const {
     s.committed += lp->delivered_;
     s.executed += lp->sim_.executed();
     s.cancelled += lp->sim_.cancelled();
+    s.rebuckets += lp->sim_.rebuckets();
+    s.rebucket_moved += lp->sim_.rebucket_moved();
   }
   return s;
 }

@@ -60,6 +60,9 @@ class ParallelEngine {
                                     ///< buffer at a barrier
     std::uint64_t executed = 0;     ///< sum of LP kernels' executed()
     std::uint64_t cancelled = 0;    ///< sum of LP kernels' cancelled()
+    std::uint64_t rebuckets = 0;    ///< sum of LP kernels' rebuckets()
+    std::uint64_t rebucket_moved = 0;  ///< sum of LP kernels'
+                                       ///< rebucket_moved()
   };
 
   /// `spec` is validated (throws on lookahead <= 0); `pool` supplies the
@@ -83,6 +86,9 @@ class ParallelEngine {
   /// Total events executed / cancelled across LPs (id order).
   std::uint64_t executed() const;
   std::uint64_t cancelled() const;
+  /// Total in-place ladder re-fits / events they re-placed across LPs.
+  std::uint64_t rebuckets() const { return stats().rebuckets; }
+  std::uint64_t rebucket_moved() const { return stats().rebucket_moved; }
 
 #if ARCH21_OBS_ENABLED
   /// Publish run counters into the global metrics registry
@@ -142,6 +148,10 @@ class LoopbackEngine {
   }
   std::uint64_t executed() const noexcept { return sim_.executed(); }
   std::uint64_t cancelled() const noexcept { return sim_.cancelled(); }
+  std::uint64_t rebuckets() const noexcept { return sim_.rebuckets(); }
+  std::uint64_t rebucket_moved() const noexcept {
+    return sim_.rebucket_moved();
+  }
 
  private:
   PartitionSpec spec_;

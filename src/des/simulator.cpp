@@ -399,18 +399,31 @@ void Simulator::reanchor() {
 }
 
 bool Simulator::maybe_rebucket() {
-  // Only judge the fit once the gap estimator has real history behind
-  // it, and re-fit only on a >2x mismatch either way: the EWMA moves
-  // smoothly, so once the width tracks it, re-fits need a genuine
-  // regime change, not noise.
+  // Amortization: a re-fit re-places every live ladder event, so it waits
+  // until at least that many events have executed since the last anchor.
+  // Re-fits then never re-place more events than the kernel executed,
+  // however the width estimate moves.
   constexpr std::uint64_t kMinExecuted = 64;
-  if (executed_ - anchor_executed_ < kMinExecuted || !(gap_ewma_ > 0)) {
-    return false;
-  }
-  double target = gap_ewma_ * kGapsPerBucket;
+  const std::uint64_t since = executed_ - anchor_executed_;
+  if (since < kMinExecuted || since < ladder_size_) return false;
+  // Fit the width to the mean gap over every execution since the anchor.
+  // The window spans at least the live ladder's worth of executions --
+  // thousands in a trial that pre-schedules its arrivals -- so a fan-out
+  // burst and the trickle after it average out; gap_ewma_ (about 50 gaps
+  // of memory, kept for reanchor()) swings more than 2x between the two,
+  // so a fit judged on it would re-fit on nearly every burst.  origin_
+  // marks the anchor in simulation time: the clock at a re-fit, the
+  // earliest pending event at a re-anchor.
+  const double gap = (last_exec_t_ - origin_) / static_cast<double>(since);
+  if (!(gap > 0)) return false;
+  double target = gap * kGapsPerBucket;
   const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
   if (spread_w > target) target = spread_w;
-  if (!(target > width_ * 2.0) && !(target * 2.0 < width_)) return false;
+  const bool misfit = target > width_ * 2.0 || target * 2.0 < width_;
+  const bool recycle =
+      cur_bucket_ >= kRecycleBuckets &&
+      live_spread_ * kRecycleHorizonDiv < target * kBucketCount;
+  if (!misfit && !recycle) return false;
   // Collect every live ladder event (the cursor bucket's consumed prefix
   // is dead and excluded), re-seat the window at the clock, and re-place
   // under the new width; events the narrower window no longer covers
@@ -436,6 +449,8 @@ bool Simulator::maybe_rebucket() {
     }
   }
   occ_.fill(0);
+  ++rebuckets_;
+  rebucket_moved_ += sort_buf_.size();
   width_ = target;
   origin_ = now_;
   cur_bucket_ = 0;

@@ -169,6 +169,13 @@ class Simulator {
   /// Total events executed since construction.
   std::uint64_t executed() const noexcept { return executed_; }
 
+  /// In-place ladder re-fits since construction (see maybe_rebucket()),
+  /// and the pending events they re-placed.  Geometry work only, so both
+  /// are deterministic; the re-fit rule keeps rebucket_moved() at most
+  /// executed().
+  std::uint64_t rebuckets() const noexcept { return rebuckets_; }
+  std::uint64_t rebucket_moved() const noexcept { return rebucket_moved_; }
+
   /// Pre-size the event storage for an expected number of simultaneously
   /// outstanding events: the overflow tier (which absorbs everything
   /// scheduled ahead of the first run()) *and* the cancellable slot table
@@ -261,6 +268,20 @@ class Simulator {
   /// enough for that and keeps buckets twice as fine as a larger slack
   /// would (lower occupancy = cheaper pops).
   static constexpr double kSpreadSlack = 2.0;
+  /// Ring slots the cursor may sweep past its anchor before a re-fit
+  /// re-seats the window at the clock even when the width still fits.
+  /// Lanes keep their capacity per slot, so a cursor that sweeps the
+  /// whole ring leaves every slot holding the lanes of its busiest visit
+  /// (a simultaneous timer group, a fan-out burst) and visits a cold
+  /// slot per bucket; re-seating keeps the near-future traffic cycling
+  /// through a small, cache-warm prefix of the ring.  Only worth it
+  /// while the live horizon (live_spread_ / width) spans under
+  /// kBucketCount / kRecycleHorizonDiv slots: a timeout-heavy kernel
+  /// whose window is sized by its live spread touches most of the ring
+  /// wherever the cursor sits, and a re-seat would buy it nothing for
+  /// its O(live events) moves.
+  static constexpr std::uint64_t kRecycleBuckets = 128;
+  static constexpr double kRecycleHorizonDiv = 16.0;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
   // -- SoA min-heap primitives (keys compared, both lanes moved) --
@@ -323,16 +344,19 @@ class Simulator {
   /// Re-seat the ladder window at the overflow minimum and pull every
   /// overflow event inside the new window into its bucket.
   void reanchor();
-  /// Geometry misfit check, run when the cursor enters a fresh bucket:
-  /// once enough executions have accumulated since the last anchor, if
-  /// the width the anchor policy would pick *now* disagrees with the
-  /// live width by more than 2x either way, re-place every ladder event
-  /// under the new width (O(live events), amortized to nothing by the
-  /// hysteresis).  Returns true if the ladder was re-anchored, in which
-  /// case the caller must rescan from the restarted cursor.  This is
-  /// what rescues a ladder whose first anchor had no execution history
-  /// to consult -- e.g. a per-LP PDES kernel seeded with one event
-  /// whose fallback width lands far from the real event gap.
+  /// In-place re-fit, judged when the cursor enters a fresh bucket.  Once
+  /// the kernel has executed at least as many events since the last
+  /// anchor as the ladder holds (and at least 64), re-place every ladder
+  /// event at the clock under the fitted width if that width disagrees
+  /// with the live one by more than 2x either way, or if the cursor has
+  /// swept kRecycleBuckets slots while the live horizon is short.  Each
+  /// re-fit moves at most the events executed since the previous anchor,
+  /// so rebucket_moved() never exceeds executed().  Returns true if the
+  /// ladder was re-anchored, in which case the caller must rescan from
+  /// the restarted cursor.  This is what rescues a ladder whose first
+  /// anchor had no execution history to consult -- e.g. a per-LP PDES
+  /// kernel seeded with one event whose fallback width lands far from
+  /// the real event gap.
   bool maybe_rebucket();
   /// Fire (or lazily discard) one popped event: the shared body of
   /// step() and the batched drain.  Returns true if the action executed.
@@ -421,6 +445,8 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::uint64_t rebuckets_ = 0;
+  std::uint64_t rebucket_moved_ = 0;
 
 #if ARCH21_OBS_ENABLED
   obs::TraceBuffer* trace_ = nullptr;
