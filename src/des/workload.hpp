@@ -207,4 +207,64 @@ WorkloadResult replay_cluster_like(std::uint64_t seed, std::uint32_t queries,
   return std::move(c->out);
 }
 
+/// Fan-out replay shaped like the cluster's fan-out-100 baseline: a
+/// pre-scheduled background trickle (an arrival every ~0.25 time units,
+/// each completing after a short service) plus periodic queries that fan
+/// out `fanout` simultaneous requests with short services.  Each query's
+/// completions arrive as a burst far denser than the trickle, so an
+/// execution-gap estimate with short memory swings between the two.
+/// Runs on the caller's simulator, so the caller can read its kernel
+/// counters afterwards.
+template <typename Sim>
+WorkloadResult replay_fanout_like(Sim& sim, std::uint64_t seed,
+                                  std::uint32_t queries,
+                                  std::uint32_t fanout = 100) {
+  struct Ctx {
+    Sim& sim;
+    Rng rng;
+    WorkloadResult out;
+    std::uint32_t fanout = 0;
+    Ctx(Sim& s, std::uint64_t seed) : sim(s), rng(seed) {}
+  };
+  constexpr double kQueryGap = 20.0;
+  constexpr double kTrickleGap = 0.25;
+  constexpr double kTrickleService = 4.0;
+  constexpr double kLeafService = 2.0;
+  auto ctx = std::make_unique<Ctx>(sim, seed);
+  Ctx* c = ctx.get();
+  c->fanout = fanout;
+  const double horizon = kQueryGap * queries;
+  // Ids: query q is q * (fanout + 1) and its leaves follow it; trickle
+  // arrival i and its completion come after every query id.
+  const std::uint32_t trickle_base = queries * (fanout + 1);
+  std::uint32_t trickle = 0;
+  for (double t = c->rng.exponential(kTrickleGap); t < horizon;
+       t += c->rng.exponential(kTrickleGap)) {
+    const std::uint32_t id = trickle_base + 2 * trickle++;
+    sim.schedule_at(t, [c, id] {
+      c->out.order.push_back(id);
+      c->sim.schedule(c->rng.exponential(kTrickleService),
+                      [c, id] { c->out.order.push_back(id + 1); });
+    });
+  }
+  double t = 0;
+  for (std::uint32_t q = 0; q < queries; ++q) {
+    t += c->rng.exponential(kQueryGap);
+    const std::uint32_t base = q * (fanout + 1);
+    sim.schedule_at(t, [c, base] {
+      c->out.order.push_back(base);
+      for (std::uint32_t l = 1; l <= c->fanout; ++l) {
+        c->sim.schedule(c->rng.exponential(kLeafService),
+                        [c, id = base + l] { c->out.order.push_back(id); });
+      }
+    });
+  }
+  c->out.order.reserve(std::size_t{2} * trickle + trickle_base);
+  sim.run();
+  c->out.final_now = sim.now();
+  c->out.executed = sim.executed();
+  c->out.cancelled = sim.cancelled();
+  return std::move(c->out);
+}
+
 }  // namespace arch21::des

@@ -55,6 +55,59 @@ TEST(DesQueueDifferential, ClusterLikeMatchesReferenceHeap) {
   }
 }
 
+TEST(DesQueueDifferential, FanoutLikeMatchesReferenceHeap) {
+  for (const std::uint64_t seed : kSeeds) {
+    Simulator lsim;
+    ReferenceSimulator rsim;
+    const WorkloadResult ladder = replay_fanout_like(lsim, seed, 200);
+    const WorkloadResult ref = replay_fanout_like(rsim, seed, 200);
+    EXPECT_EQ(ladder.order, ref.order) << "seed " << seed;
+    EXPECT_TRUE(ladder == ref) << "seed " << seed;
+  }
+}
+
+// --- in-place re-fit ----------------------------------------------------
+// A re-fit re-places every live ladder event.  It waits until the kernel
+// has executed at least that many events since the last anchor, so the
+// events re-fits move can never exceed the events executed -- even when
+// fan-out bursts and the trickle between them pull a short-memory gap
+// estimate back and forth across the 2x fit band.
+
+TEST(DesQueueRefit, FanoutBurstsMoveAtMostTheExecutedEvents) {
+  for (const std::uint64_t seed : kSeeds) {
+    Simulator sim;
+    const WorkloadResult r = replay_fanout_like(sim, seed, 200);
+    ASSERT_EQ(r.executed, sim.executed());
+    EXPECT_GT(sim.executed(), 50'000u) << "seed " << seed;
+    EXPECT_LE(sim.rebucket_moved(), sim.executed()) << "seed " << seed;
+  }
+}
+
+// The rescue the re-fit exists for: a kernel whose first anchor sees a
+// one-event backlog (every per-LP PDES kernel starts this way) falls back
+// to a unit bucket width, 1000x the gap of the stream that follows.  The
+// kernel must re-fit once it has seen the stream, or the whole stream
+// stays crammed into a handful of buckets.
+TEST(DesQueueRefit, OneEventFirstAnchorRefitsToADenseStream) {
+  Simulator sim;
+  std::uint32_t left = 5000;
+  sim.schedule_at(1.0, [] {});
+  ASSERT_DOUBLE_EQ(sim.next_time(), 1.0);  // first anchor: one event
+  struct Stream {
+    Simulator& sim;
+    std::uint32_t& left;
+    void operator()() const {
+      if (--left > 0) sim.schedule(1e-3, Stream{sim, left});
+    }
+  };
+  sim.schedule_at(1.0, Stream{sim, left});
+  sim.run();
+  EXPECT_EQ(left, 0u);
+  EXPECT_EQ(sim.executed(), 5001u);
+  EXPECT_GE(sim.rebuckets(), 1u);
+  EXPECT_LE(sim.rebucket_moved(), sim.executed());
+}
+
 // A dense near-future stream anchors the ladder window tightly; events far
 // beyond the window must wait in the overflow tier and still fire in
 // global timestamp order as the window slides out to them.

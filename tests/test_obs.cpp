@@ -374,6 +374,11 @@ TEST(TraceIntegration, ClusterMetricsPublishedToGlobalRegistry) {
   const auto* executed = find("des.executed");
   ASSERT_NE(executed, nullptr);
   EXPECT_GT(executed->count, r.queries);
+  const auto* rebuckets = find("des.rebucket.count");
+  const auto* moved = find("des.rebucket.moved");
+  ASSERT_NE(rebuckets, nullptr);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_LE(moved->count, executed->count);
   const auto* qms = find("cluster.query_ms");
   ASSERT_NE(qms, nullptr);
   EXPECT_EQ(qms->count, r.ok_queries + r.degraded_queries);
