@@ -117,18 +117,25 @@ void ClusterGrayConfig::validate() const {
 
 void ClusterConfig::validate() const {
   if (leaves == 0) bad("ClusterConfig", "leaves must be > 0");
-  if (!(query_rate_hz > 0)) bad("ClusterConfig", "query_rate_hz must be > 0");
+  // A rate or duration of +inf would pass a plain `> 0` test and then hang
+  // the setup loop: exponential(1000 / inf) draws 0, so its arrival clock
+  // never advances.
+  if (!(query_rate_hz > 0) || !std::isfinite(query_rate_hz)) {
+    bad("ClusterConfig", "query_rate_hz must be finite and > 0");
+  }
   if (!(leaf_service_ms > 0)) {
     bad("ClusterConfig", "leaf_service_ms must be > 0");
   }
   if (!(service_sigma > 0)) bad("ClusterConfig", "service_sigma must be > 0");
-  if (!(background_rate_hz >= 0)) {
-    bad("ClusterConfig", "background_rate_hz must be >= 0");
+  if (!(background_rate_hz >= 0) || !std::isfinite(background_rate_hz)) {
+    bad("ClusterConfig", "background_rate_hz must be finite and >= 0");
   }
   if (background_rate_hz > 0 && !(background_ms > 0)) {
     bad("ClusterConfig", "background_ms must be > 0");
   }
-  if (!(duration_s > 0)) bad("ClusterConfig", "duration_s must be > 0");
+  if (!(duration_s > 0) || !std::isfinite(duration_s)) {
+    bad("ClusterConfig", "duration_s must be finite and > 0");
+  }
   leaf_queue.validate();
   if (!(goodput_window_s >= 0)) {
     bad("ClusterConfig", "goodput_window_s must be >= 0");

@@ -143,7 +143,9 @@ void MultiRegionConfig::validate() const {
   wan.validate();
   traffic.validate();
   failover.validate();
-  if (!(duration_s > 0)) bad("MultiRegionConfig", "duration_s must be > 0");
+  if (!(duration_s > 0) || !std::isfinite(duration_s)) {
+    bad("MultiRegionConfig", "duration_s must be finite and > 0");
+  }
   if (!(goodput_window_s >= 0)) {
     bad("MultiRegionConfig", "goodput_window_s must be >= 0");
   }

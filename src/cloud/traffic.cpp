@@ -42,8 +42,8 @@ double TrafficConfig::session_rate_at(double t_s) const noexcept {
 }
 
 void TrafficConfig::validate() const {
-  if (!(session_rate_hz > 0)) {
-    bad("TrafficConfig", "session_rate_hz must be > 0");
+  if (!(session_rate_hz > 0) || !std::isfinite(session_rate_hz)) {
+    bad("TrafficConfig", "session_rate_hz must be finite and > 0");
   }
   if (!(diurnal_amplitude >= 0) || !(diurnal_amplitude < 1)) {
     bad("TrafficConfig", "diurnal_amplitude must be in [0, 1)");

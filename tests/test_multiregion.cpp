@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -121,6 +122,15 @@ TEST(Traffic, ClassMixFollowsWeights) {
 TEST(Traffic, ValidationNamesField) {
   TrafficConfig cfg;
   cfg.session_rate_hz = 0;
+  try {
+    cfg.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("session_rate_hz"),
+              std::string::npos);
+  }
+  // +inf passes a plain `> 0` test and stalls the arrival clock.
+  cfg.session_rate_hz = std::numeric_limits<double>::infinity();
   try {
     cfg.validate();
     FAIL() << "expected std::invalid_argument";
@@ -371,6 +381,13 @@ TEST(MultiRegionConfig, ValidationNamesField) {
   c = small_config();
   c.duration_s = 0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.duration_s = std::numeric_limits<double>::infinity();
+  try {
+    c.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duration_s"), std::string::npos);
+  }
   c = small_config();
   c.goodput_window_s = -1;
   EXPECT_THROW(c.validate(), std::invalid_argument);

@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cloud/cluster.hpp"
@@ -434,6 +436,28 @@ TEST(ClusterTrials, AggregatesAndValidates) {
   EXPECT_EQ(agg.trials, 3u);
   EXPECT_GT(agg.queries, 0u);
   EXPECT_THROW(cloud::run_cluster_trials(cfg, 0), std::invalid_argument);
+
+  // +inf passes a plain `> 0` test, and the setup loop then never
+  // advances its arrival clock; validate() must name the field instead.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto expect_rejected = [](const ClusterConfig& c, const char* field) {
+    try {
+      c.validate();
+      ADD_FAILURE() << field << " = inf: expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  ClusterConfig c = cfg;
+  c.query_rate_hz = kInf;
+  expect_rejected(c, "query_rate_hz");
+  c = cfg;
+  c.background_rate_hz = kInf;
+  expect_rejected(c, "background_rate_hz");
+  c = cfg;
+  c.duration_s = kInf;
+  expect_rejected(c, "duration_s");
 }
 
 }  // namespace
