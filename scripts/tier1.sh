@@ -83,13 +83,16 @@ echo "== tier-1: UndefinedBehaviorSanitizer smoke (histogram, obs, engines) =="
 # log(NaN) -> size_t is UB; the obs suite exercises the metrics shards
 # and trace ring end to end under UBSan.  The cluster client engine (both
 # transports), the region flow (whose 32-region retry mask once shifted
-# a 32-bit value by 32), powercap and the golden cells run here too.
+# a 32-bit value by 32), powercap and the golden cells run here too, as
+# do the DES kernel suites, which drive the ladder's double -> uint64_t
+# bucket-index math through anchors, re-fits and overflow migration.
 cmake -B build-ubsan -S . -DARCH21_SAN=undefined >/dev/null
 cmake --build build-ubsan -j "$(nproc)" --target test_histogram test_obs \
-  test_resilience test_overload test_grayfail test_pdes test_multiregion \
-  test_power test_golden
-for t in test_histogram test_obs test_resilience test_overload \
-         test_grayfail test_pdes test_multiregion test_power test_golden; do
+  test_des test_des_queue test_resilience test_overload test_grayfail \
+  test_pdes test_multiregion test_power test_golden
+for t in test_histogram test_obs test_des test_des_queue test_resilience \
+         test_overload test_grayfail test_pdes test_multiregion test_power \
+         test_golden; do
   echo "-- ubsan: $t"
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" "./build-ubsan/tests/$t"
 done
