@@ -420,9 +420,8 @@ bool Simulator::maybe_rebucket() {
   const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
   if (spread_w > target) target = spread_w;
   const bool misfit = target > width_ * 2.0 || target * 2.0 < width_;
-  const bool recycle =
-      cur_bucket_ >= kRecycleBuckets &&
-      live_spread_ * kRecycleHorizonDiv < target * kBucketCount;
+  const bool recycle = cur_bucket_ >= kRecycleBuckets &&
+                       live_spread_ < target * kRecycleMaxHorizon;
   if (!misfit && !recycle) return false;
   // Collect every live ladder event (the cursor bucket's consumed prefix
   // is dead and excluded), re-seat the window at the clock, and re-place

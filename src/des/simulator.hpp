@@ -274,14 +274,14 @@ class Simulator {
   /// whole ring leaves every slot holding the lanes of its busiest visit
   /// (a simultaneous timer group, a fan-out burst) and visits a cold
   /// slot per bucket; re-seating keeps the near-future traffic cycling
-  /// through a small, cache-warm prefix of the ring.  Only worth it
-  /// while the live horizon (live_spread_ / width) spans under
-  /// kBucketCount / kRecycleHorizonDiv slots: a timeout-heavy kernel
-  /// whose window is sized by its live spread touches most of the ring
-  /// wherever the cursor sits, and a re-seat would buy it nothing for
-  /// its O(live events) moves.
+  /// through a small, cache-warm prefix of the ring.
   static constexpr std::uint64_t kRecycleBuckets = 128;
-  static constexpr double kRecycleHorizonDiv = 16.0;
+  /// The recycle re-seat is only worth it while the live horizon
+  /// (live_spread_ / width) spans fewer slots than this: a timeout-heavy
+  /// kernel whose window is sized by its live spread touches most of the
+  /// ring wherever the cursor sits, and a re-seat would buy it nothing
+  /// for its O(live events) moves.
+  static constexpr double kRecycleMaxHorizon = kBucketCount / 16;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
   // -- SoA min-heap primitives (keys compared, both lanes moved) --
