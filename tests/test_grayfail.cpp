@@ -3,7 +3,8 @@
 // (EWMA outliers, reply-rate/zombie accounting, eviction + probation,
 // adaptive deadlines), gray WAN-link degradation, cluster injection +
 // detection end to end, cross-pool determinism, disabled-knob
-// byte-identity, and ClusterResult::merge() over the gray telemetry.
+// byte-identity, ClusterResult::merge() over the gray telemetry, and
+// gray_containment()'s windowed means.
 
 #include <gtest/gtest.h>
 
@@ -579,6 +580,61 @@ TEST(ClusterGray, MergeSumsGrayTelemetry) {
   EXPECT_EQ(a.gray_redirected_sends, 75u);
   // Trial-weighted average: (10 x 1 + 20 x 3) / 4.
   EXPECT_DOUBLE_EQ(a.adaptive_deadline_ms, 17.5);
+}
+
+TEST(GrayContainment, WindowedPreDuringPostMeans) {
+  ClusterConfig cfg;
+  cfg.goodput_window_s = 1.0;
+  cfg.duration_s = 10;
+  cfg.gray.burst_leaves = 2;
+  cfg.gray.burst_start_s = 3;
+  cfg.gray.burst_duration_s = 4;
+
+  ClusterResult r;
+  r.trials = 1;
+  // Window 0 is warmup; 1-2 pre; 3 onset settle; 4-6 during; 7 clear
+  // settle; 8-9 post.
+  r.answered_per_window = {99, 10, 10, 77, 6, 6, 6, 55, 8, 8};
+  const auto c = cloud::gray_containment(r, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(c.pre_qps, 10.0);
+  EXPECT_DOUBLE_EQ(c.during_qps, 6.0);
+  EXPECT_DOUBLE_EQ(c.post_qps, 8.0);
+  EXPECT_DOUBLE_EQ(c.containment_ratio(), 0.6);
+  EXPECT_DOUBLE_EQ(c.recovery_ratio(), 0.8);
+
+  // Without the onset settle, the transient window 3 joins "during".
+  const auto raw = cloud::gray_containment(r, cfg, 0.0);
+  EXPECT_DOUBLE_EQ(raw.during_qps, (77.0 + 6 + 6 + 6) / 4);
+
+  // Missing trailing windows are zeros.
+  r.answered_per_window = {99, 10, 10, 77, 6};
+  const auto c2 = cloud::gray_containment(r, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(c2.pre_qps, 10.0);
+  EXPECT_DOUBLE_EQ(c2.during_qps, 2.0);
+  EXPECT_DOUBLE_EQ(c2.post_qps, 0.0);
+
+  // Two trials normalize per trial.
+  r.trials = 2;
+  r.answered_per_window = {0, 20, 20, 0, 12, 12, 12, 0, 16, 16};
+  const auto c3 = cloud::gray_containment(r, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(c3.pre_qps, 10.0);
+  EXPECT_DOUBLE_EQ(c3.during_qps, 6.0);
+  EXPECT_DOUBLE_EQ(c3.post_qps, 8.0);
+
+  // No windows or no gray burst -> zeros.
+  ClusterConfig nowin = cfg;
+  nowin.goodput_window_s = 0;
+  const auto c4 = cloud::gray_containment(r, nowin, 1.0);
+  EXPECT_DOUBLE_EQ(c4.pre_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c4.during_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c4.post_qps, 0.0);
+  ClusterConfig noburst = cfg;
+  noburst.gray.burst_leaves = 0;
+  const auto c5 = cloud::gray_containment(r, noburst, 1.0);
+  EXPECT_DOUBLE_EQ(c5.pre_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c5.during_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c5.post_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c5.containment_ratio(), 0.0);
 }
 
 }  // namespace
