@@ -41,35 +41,39 @@ double RetryPolicy::backoff_ms(unsigned retry_index, Rng& rng) const {
   return delay;
 }
 
+// Every range check below is written so that NaN fails it: `!(x >= lo)`
+// rather than `x < lo`, which NaN passes.
 void RetryPolicy::validate() const {
-  if (timeout_ms < 0) bad("RetryPolicy", "timeout_ms must be >= 0");
+  if (!(timeout_ms >= 0)) bad("RetryPolicy", "timeout_ms must be >= 0");
   if (max_retries > 0 && timeout_ms == 0) {
     bad("RetryPolicy", "max_retries requires timeout_ms > 0");
   }
-  if (backoff_base_ms < 0) bad("RetryPolicy", "backoff_base_ms must be >= 0");
-  if (backoff_mult < 1.0) bad("RetryPolicy", "backoff_mult must be >= 1");
-  if (jitter_frac < 0 || jitter_frac >= 1.0) {
+  if (!(backoff_base_ms >= 0)) {
+    bad("RetryPolicy", "backoff_base_ms must be >= 0");
+  }
+  if (!(backoff_mult >= 1.0)) bad("RetryPolicy", "backoff_mult must be >= 1");
+  if (!(jitter_frac >= 0) || jitter_frac >= 1.0) {
     bad("RetryPolicy", "jitter_frac must be in [0, 1)");
   }
 }
 
 void RetryBudget::validate() const {
   if (!enabled) return;
-  if (ratio <= 0) bad("RetryBudget", "ratio must be > 0 when enabled");
-  if (burst < 1.0) bad("RetryBudget", "burst must be >= 1 when enabled");
+  if (!(ratio > 0)) bad("RetryBudget", "ratio must be > 0 when enabled");
+  if (!(burst >= 1.0)) bad("RetryBudget", "burst must be >= 1 when enabled");
 }
 
 void QuorumPolicy::validate() const {
-  if (deadline_ms < 0) bad("QuorumPolicy", "deadline_ms must be >= 0");
-  if (quorum_fraction <= 0 || quorum_fraction > 1.0) {
+  if (!(deadline_ms >= 0)) bad("QuorumPolicy", "deadline_ms must be >= 0");
+  if (!(quorum_fraction > 0) || quorum_fraction > 1.0) {
     bad("QuorumPolicy", "quorum_fraction must be in (0, 1]");
   }
 }
 
 void AdmissionPolicy::validate() const {
   if (!enabled) return;
-  if (rate_qps < 0) bad("AdmissionPolicy", "rate_qps must be >= 0");
-  if (rate_qps > 0 && burst < 1.0) {
+  if (!(rate_qps >= 0)) bad("AdmissionPolicy", "rate_qps must be >= 0");
+  if (rate_qps > 0 && !(burst >= 1.0)) {
     bad("AdmissionPolicy", "burst must be >= 1 when rate_qps > 0");
   }
   if (rate_qps == 0 && max_in_flight == 0) {
@@ -83,14 +87,14 @@ void CircuitBreakerPolicy::validate() const {
   if (window < 1 || window > 64) {
     bad("CircuitBreakerPolicy", "window must be in [1, 64]");
   }
-  if (failure_threshold <= 0 || failure_threshold > 1.0) {
+  if (!(failure_threshold > 0) || failure_threshold > 1.0) {
     bad("CircuitBreakerPolicy", "failure_threshold must be in (0, 1]");
   }
   if (min_samples < 1 || min_samples > window) {
     bad("CircuitBreakerPolicy", "min_samples must be in [1, window]");
   }
   if (!(open_ms > 0)) bad("CircuitBreakerPolicy", "open_ms must be > 0");
-  if (open_jitter_frac < 0 || open_jitter_frac >= 1.0) {
+  if (!(open_jitter_frac >= 0) || open_jitter_frac >= 1.0) {
     bad("CircuitBreakerPolicy", "open_jitter_frac must be in [0, 1)");
   }
   if (half_open_probes < 1) {
@@ -147,7 +151,7 @@ void GrayDetectionPolicy::validate() const {
 void ResiliencePolicy::validate() const {
   retry.validate();
   budget.validate();
-  if (hedge_after_ms < 0) {
+  if (!(hedge_after_ms >= 0)) {
     bad("ResiliencePolicy", "hedge_after_ms must be >= 0");
   }
   quorum.validate();

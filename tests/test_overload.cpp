@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cloud/cluster.hpp"
@@ -213,6 +215,21 @@ TEST(BoundedQueue, PolicyValidation) {
 
 // --------------------------------------------------- policy validation
 
+// NaN passes every `x < lo` test; validate() must still reject it and
+// name the field.
+template <typename Policy>
+void expect_nan_rejected(const Policy& policy, const char* field) {
+  try {
+    policy.validate();
+    ADD_FAILURE() << field << " = NaN: expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 TEST(OverloadPolicies, AdmissionValidation) {
   cloud::AdmissionPolicy a;
   EXPECT_NO_THROW(a.validate());  // disabled: anything goes
@@ -228,6 +245,11 @@ TEST(OverloadPolicies, AdmissionValidation) {
   a.rate_qps = 0;
   a.max_in_flight = 32;
   EXPECT_NO_THROW(a.validate());
+  a.rate_qps = kNaN;
+  expect_nan_rejected(a, "AdmissionPolicy::rate_qps");
+  a.rate_qps = 100;
+  a.burst = kNaN;
+  expect_nan_rejected(a, "AdmissionPolicy::burst");
 }
 
 TEST(OverloadPolicies, BreakerValidation) {
@@ -262,6 +284,12 @@ TEST(OverloadPolicies, BreakerValidation) {
   bad = b;
   bad.half_open_probes = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = b;
+  bad.failure_threshold = kNaN;
+  expect_nan_rejected(bad, "CircuitBreakerPolicy::failure_threshold");
+  bad = b;
+  bad.open_jitter_frac = kNaN;
+  expect_nan_rejected(bad, "CircuitBreakerPolicy::open_jitter_frac");
 }
 
 TEST(OverloadPolicies, BreakerRequiresTimeout) {

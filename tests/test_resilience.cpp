@@ -136,6 +136,41 @@ TEST(Policy, ValidationRejectsNonsense) {
   cloud::ResiliencePolicy p;
   p.hedge_after_ms = -3;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+
+  // NaN passes every `x < lo` test; validate() must still reject it and
+  // name the field.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  auto expect_nan_rejected = [](const auto& policy, const char* field) {
+    try {
+      policy.validate();
+      ADD_FAILURE() << field << " = NaN: expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_nan_rejected(cloud::RetryPolicy{.timeout_ms = kNaN},
+                      "RetryPolicy::timeout_ms");
+  expect_nan_rejected(
+      cloud::RetryPolicy{.timeout_ms = 10, .backoff_base_ms = kNaN},
+      "RetryPolicy::backoff_base_ms");
+  expect_nan_rejected(
+      cloud::RetryPolicy{.timeout_ms = 10, .backoff_mult = kNaN},
+      "RetryPolicy::backoff_mult");
+  expect_nan_rejected(cloud::RetryPolicy{.timeout_ms = 10, .jitter_frac = kNaN},
+                      "RetryPolicy::jitter_frac");
+  expect_nan_rejected(cloud::RetryBudget{.enabled = true, .ratio = kNaN},
+                      "RetryBudget::ratio");
+  expect_nan_rejected(cloud::RetryBudget{.enabled = true, .burst = kNaN},
+                      "RetryBudget::burst");
+  expect_nan_rejected(cloud::QuorumPolicy{.quorum_fraction = kNaN},
+                      "QuorumPolicy::quorum_fraction");
+  expect_nan_rejected(
+      cloud::QuorumPolicy{.quorum_fraction = 0.9, .deadline_ms = kNaN},
+      "QuorumPolicy::deadline_ms");
+  p = {};
+  p.hedge_after_ms = kNaN;
+  expect_nan_rejected(p, "ResiliencePolicy::hedge_after_ms");
 }
 
 TEST(Policy, BackoffGrowsExponentiallyWithBoundedJitter) {
