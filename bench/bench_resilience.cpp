@@ -52,23 +52,6 @@ cloud::ClusterConfig base_config() {
   return cfg;
 }
 
-bool same_aggregate(const cloud::ClusterResult& a,
-                    const cloud::ClusterResult& b) {
-  return a.queries == b.queries && a.ok_queries == b.ok_queries &&
-         a.degraded_queries == b.degraded_queries &&
-         a.failed_queries == b.failed_queries && a.retries == b.retries &&
-         a.hedges == b.hedges && a.timeouts == b.timeouts &&
-         a.lost_requests == b.lost_requests &&
-         a.leaf_requests == b.leaf_requests &&
-         a.query_ms.count() == b.query_ms.count() &&
-         a.query_ms.quantile(0.5) == b.query_ms.quantile(0.5) &&
-         a.query_ms.quantile(0.99) == b.query_ms.quantile(0.99) &&
-         a.sum_result_quality == b.sum_result_quality &&
-         a.goodput_qps == b.goodput_qps &&
-         a.availability_measured == b.availability_measured &&
-         a.retry_amplification == b.retry_amplification;
-}
-
 const cloud::ClusterResult* find(
     const std::vector<cloud::ScenarioResult>& ladder, const char* needle) {
   for (const auto& s : ladder) {
@@ -146,7 +129,7 @@ int main(int argc, char** argv) {
   const auto r1 = cloud::run_cluster_trials(check_cfg, trials, &p1);
   const auto r2 = cloud::run_cluster_trials(check_cfg, trials, &p2);
   const auto rn = cloud::run_cluster_trials(check_cfg, trials, &pool);
-  const bool identical = same_aggregate(r1, r2) && same_aggregate(r1, rn);
+  const bool identical = r1 == r2 && r1 == rn;
   std::cout << "determinism: pools {1, 2, " << pool.size() << "} -> "
             << (identical ? "bit-identical aggregates" : "MISMATCH") << "\n";
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cloud/client.hpp"
+#include "cloud/trials.hpp"
 #include "reliab/gray.hpp"
 
 namespace arch21::cloud {
@@ -189,20 +190,17 @@ void ClusterConfig::validate() const {
 }
 
 void ClusterResult::merge(const ClusterResult& other) {
-  const double w_self = static_cast<double>(trials);
-  const double w_other = static_cast<double>(other.trials);
-  const double w = w_self + w_other;
-  auto avg = [&](double a, double b) { return (a * w_self + b * w_other) / w; };
-
+  auto avg = [&](double& a, double b) {
+    a = trial_mean(a, trials, b, other.trials);
+  };
   queries += other.queries;
   ok_queries += other.ok_queries;
   degraded_queries += other.degraded_queries;
   failed_queries += other.failed_queries;
   query_ms.merge(other.query_ms);
   leaf_ms.merge(other.leaf_ms);
-  mean_leaf_utilization =
-      avg(mean_leaf_utilization, other.mean_leaf_utilization);
-  hedge_fraction = avg(hedge_fraction, other.hedge_fraction);
+  avg(mean_leaf_utilization, other.mean_leaf_utilization);
+  avg(hedge_fraction, other.hedge_fraction);
   leaf_requests += other.leaf_requests;
   retries += other.retries;
   hedges += other.hedges;
@@ -218,23 +216,9 @@ void ClusterResult::merge(const ClusterResult& other) {
   breaker_short_circuits += other.breaker_short_circuits;
   breaker_probes += other.breaker_probes;
   breaker_open_ms += other.breaker_open_ms;
-  // Goodput windows are raw counts over the same wall-clock grid in every
-  // trial, so merging is an element-wise sum (trials may differ in length
-  // by a window when completions straggle past the horizon).  The grids
-  // must actually match: summing counts recorded on different window
-  // sizes would silently corrupt the hysteresis measurement.
-  if (goodput_window_s > 0 && other.goodput_window_s > 0 &&
-      goodput_window_s != other.goodput_window_s) {
-    throw std::invalid_argument(
-        "ClusterResult::merge: goodput_window_s mismatch");
-  }
-  if (goodput_window_s == 0) goodput_window_s = other.goodput_window_s;
-  if (answered_per_window.size() < other.answered_per_window.size()) {
-    answered_per_window.resize(other.answered_per_window.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.answered_per_window.size(); ++i) {
-    answered_per_window[i] += other.answered_per_window[i];
-  }
+  merge_grid(goodput_window_s, other.goodput_window_s,
+             "ClusterResult::merge: goodput_window_s");
+  sum_series(answered_per_window, other.answered_per_window);
   power_shed_queries += other.power_shed_queries;
   power_gate_stalls += other.power_gate_stalls;
   power_overruns += other.power_overruns;
@@ -242,36 +226,22 @@ void ClusterResult::merge(const ClusterResult& other) {
   // The max (not a mean): a merged aggregate must still certify that no
   // accounting window in ANY trial exceeded the cap.
   peak_window_w = std::max(peak_window_w, other.peak_window_w);
-  if (power_cap_w > 0 && other.power_cap_w > 0 &&
-      power_cap_w != other.power_cap_w) {
-    throw std::invalid_argument("ClusterResult::merge: power_cap_w mismatch");
-  }
-  if (power_cap_w == 0) power_cap_w = other.power_cap_w;
-  if (power_window_s > 0 && other.power_window_s > 0 &&
-      power_window_s != other.power_window_s) {
-    throw std::invalid_argument(
-        "ClusterResult::merge: power_window_s mismatch");
-  }
-  if (power_window_s == 0) power_window_s = other.power_window_s;
-  if (energy_j_per_window.size() < other.energy_j_per_window.size()) {
-    energy_j_per_window.resize(other.energy_j_per_window.size(), 0.0);
-  }
-  for (std::size_t i = 0; i < other.energy_j_per_window.size(); ++i) {
-    energy_j_per_window[i] += other.energy_j_per_window[i];
-  }
+  merge_grid(power_cap_w, other.power_cap_w,
+             "ClusterResult::merge: power_cap_w");
+  merge_grid(power_window_s, other.power_window_s,
+             "ClusterResult::merge: power_window_s");
+  sum_series(energy_j_per_window, other.energy_j_per_window);
   gray_episodes += other.gray_episodes;
   gray_dropped_replies += other.gray_dropped_replies;
   gray_evictions += other.gray_evictions;
   gray_probations += other.gray_probations;
   gray_zombies += other.gray_zombies;
   gray_redirected_sends += other.gray_redirected_sends;
-  adaptive_deadline_ms = avg(adaptive_deadline_ms, other.adaptive_deadline_ms);
-  retry_amplification = avg(retry_amplification, other.retry_amplification);
-  goodput_qps = avg(goodput_qps, other.goodput_qps);
-  availability_measured =
-      avg(availability_measured, other.availability_measured);
-  availability_predicted =
-      avg(availability_predicted, other.availability_predicted);
+  avg(adaptive_deadline_ms, other.adaptive_deadline_ms);
+  avg(retry_amplification, other.retry_amplification);
+  avg(goodput_qps, other.goodput_qps);
+  avg(availability_measured, other.availability_measured);
+  avg(availability_predicted, other.availability_predicted);
   sum_result_quality += other.sum_result_quality;
   trials += other.trials;
   frac_over_leaf_p99 = query_ms.fraction_above(leaf_ms.quantile(0.99));

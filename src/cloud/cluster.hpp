@@ -318,6 +318,12 @@ struct ClusterResult {
   /// (weighted by trial counts), and frac_over_leaf_p99 is recomputed
   /// from the merged histograms.
   void merge(const ClusterResult& other);
+
+  /// Exact equality of every field: counters, doubles compared with ==
+  /// (no ULP tolerance), both histograms bit for bit, and every series.
+  /// Every determinism check compares whole results with it: pool sizes,
+  /// PDES worker counts, traced vs untraced, knob disabled vs absent.
+  bool operator==(const ClusterResult&) const = default;
 };
 
 /// Run the cluster simulation.  Dispatches on net_latency_ms: 0 runs the

@@ -11,6 +11,7 @@
 #include "cloud/qos.hpp"
 #include "cloud/queueing.hpp"
 #include "cloud/tail.hpp"
+#include "cloud/trials.hpp"
 #include "des/simulator.hpp"
 
 namespace arch21::cloud {
@@ -23,9 +24,9 @@ namespace {
   throw std::invalid_argument(std::string(strct) + "::" + field);
 }
 
-// Dedicated Rng sub-stream salts (cluster.cpp uses 0xB4EA/0xFA17 the
-// same way): each stochastic component draws from its own stream so
-// enabling one never perturbs the draws of another.
+// Dedicated Rng sub-stream salts (the cluster client in client.hpp uses
+// 0xB4EA/0xFA17 the same way): each stochastic component draws from its
+// own stream so enabling one never perturbs the draws of another.
 constexpr std::uint64_t kTrafficStream = 0x7F1C;
 constexpr std::uint64_t kWanTraceStream = 0xAB1E;
 constexpr std::uint64_t kWanJitterStream = 0x1A7E;
@@ -187,20 +188,11 @@ void MultiRegionResult::merge(const MultiRegionResult& other) {
     throw std::invalid_argument(
         "MultiRegionResult::merge: region/class shape mismatch");
   }
-  // Summing per-window counts recorded on different grids would silently
-  // corrupt the hysteresis measurement, so mismatched window sizes are a
-  // hard error (a windowless result adopts the other's grid).
-  if (goodput_window_s > 0 && other.goodput_window_s > 0 &&
-      goodput_window_s != other.goodput_window_s) {
-    throw std::invalid_argument(
-        "MultiRegionResult::merge: goodput_window_s mismatch");
-  }
-  if (goodput_window_s == 0) goodput_window_s = other.goodput_window_s;
-
-  const double w_self = static_cast<double>(trials);
-  const double w_other = static_cast<double>(other.trials);
-  const double w = w_self + w_other;
-  auto avg = [&](double a, double b) { return (a * w_self + b * w_other) / w; };
+  merge_grid(goodput_window_s, other.goodput_window_s,
+             "MultiRegionResult::merge: goodput_window_s");
+  auto avg = [&](double& a, double b) {
+    a = trial_mean(a, trials, b, other.trials);
+  };
 
   requests += other.requests;
   answered += other.answered;
@@ -216,9 +208,8 @@ void MultiRegionResult::merge(const MultiRegionResult& other) {
   link_failures += other.link_failures;
   request_ms.merge(other.request_ms);
   service_ms.merge(other.service_ms);
-  goodput_qps = avg(goodput_qps, other.goodput_qps);
-  attempt_amplification =
-      avg(attempt_amplification, other.attempt_amplification);
+  avg(goodput_qps, other.goodput_qps);
+  avg(attempt_amplification, other.attempt_amplification);
 
   for (std::size_t r = 0; r < regions.size(); ++r) {
     RegionStats& a = regions[r];
@@ -234,27 +225,14 @@ void MultiRegionResult::merge(const MultiRegionResult& other) {
     a.evictions += b.evictions;
     a.readmissions += b.readmissions;
     a.busy_ms += b.busy_ms;
-    a.utilization = avg(a.utilization, b.utilization);
+    avg(a.utilization, b.utilization);
   }
   for (std::size_t c = 0; c < classes.size(); ++c) {
     classes[c].answered += other.classes[c].answered;
     classes[c].slo_met += other.classes[c].slo_met;
   }
-
-  auto sum_windows = [](std::vector<std::uint64_t>& a,
-                        const std::vector<std::uint64_t>& b) {
-    if (a.size() < b.size()) a.resize(b.size(), 0);
-    for (std::size_t i = 0; i < b.size(); ++i) a[i] += b[i];
-  };
-  sum_windows(answered_per_window, other.answered_per_window);
-  if (region_answered_per_window.size() <
-      other.region_answered_per_window.size()) {
-    region_answered_per_window.resize(other.region_answered_per_window.size());
-  }
-  for (std::size_t r = 0; r < other.region_answered_per_window.size(); ++r) {
-    sum_windows(region_answered_per_window[r],
-                other.region_answered_per_window[r]);
-  }
+  sum_series(answered_per_window, other.answered_per_window);
+  sum_series(region_answered_per_window, other.region_answered_per_window);
 
   trials += other.trials;
   frac_over_service_p99 = request_ms.fraction_above(service_ms.quantile(0.99));
@@ -763,32 +741,7 @@ MultiRegionResult run_multiregion_trials(const MultiRegionConfig& cfg,
   if (trials == 0) {
     throw std::invalid_argument("run_multiregion_trials: trials must be > 0");
   }
-  ThreadPool& tp = pool ? *pool : ThreadPool::global();
-  MultiRegionResult identity;
-  identity.trials = 0;
-  return tp.parallel_reduce<MultiRegionResult>(
-      trials, std::move(identity), /*grain=*/1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        MultiRegionResult acc;
-        acc.trials = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          MultiRegionConfig c = cfg;
-          c.seed = Rng(cfg.seed, i).next();
-          MultiRegionResult one = simulate_multiregion(c);
-          if (acc.trials == 0) {
-            acc = std::move(one);
-          } else {
-            acc.merge(one);
-          }
-        }
-        return acc;
-      },
-      [](MultiRegionResult acc, MultiRegionResult chunk) {
-        if (acc.trials == 0) return chunk;
-        if (chunk.trials == 0) return acc;
-        acc.merge(chunk);
-        return acc;
-      });
+  return fold_trials(cfg, trials, pool, simulate_multiregion);
 }
 
 std::vector<MultiRegionScenario> failover_scenarios(
@@ -839,13 +792,12 @@ std::vector<MultiRegionScenario> failover_scenarios(
   return out;
 }
 
-RegionalHysteresis multiregion_hysteresis(const MultiRegionResult& r,
-                                          const MultiRegionConfig& cfg,
-                                          bool surviving_only,
-                                          double settle_s) {
-  RegionalHysteresis h;
+GoodputHysteresis multiregion_hysteresis(const MultiRegionResult& r,
+                                         const MultiRegionConfig& cfg,
+                                         bool surviving_only,
+                                         double settle_s) {
   const double w = cfg.goodput_window_s;
-  if (w <= 0 || !(cfg.blackout_enabled() || cfg.grayout_enabled())) return h;
+  if (w <= 0 || !(cfg.blackout_enabled() || cfg.grayout_enabled())) return {};
 
   // The measured disruption: blackout or grayout, whichever is enabled
   // (validate() rejects both at once).
@@ -855,39 +807,18 @@ RegionalHysteresis multiregion_hysteresis(const MultiRegionResult& r,
   const double ev_duration =
       black ? cfg.blackout_duration_s : cfg.grayout_duration_s;
 
-  auto count = [&](std::size_t i) -> double {
-    if (!surviving_only) {
-      return i < r.answered_per_window.size()
-                 ? static_cast<double>(r.answered_per_window[i])
-                 : 0.0;
-    }
-    double sum = 0;
+  std::vector<std::uint64_t> surviving;
+  if (surviving_only) {
     for (std::size_t reg = 0; reg < r.region_answered_per_window.size();
          ++reg) {
-      if (reg == ev_region) continue;
-      const auto& win = r.region_answered_per_window[reg];
-      if (i < win.size()) sum += static_cast<double>(win[i]);
+      if (reg != ev_region) {
+        sum_series(surviving, r.region_answered_per_window[reg]);
+      }
     }
-    return sum;
-  };
-  const double per_win = w * static_cast<double>(std::max(r.trials, 1u));
-
-  // Complete windows strictly before the disruption; window 0 is warmup.
-  const auto pre_end = static_cast<std::size_t>(ev_start / w);
-  double sum = 0;
-  std::size_t n = 0;
-  for (std::size_t i = 1; i < pre_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.pre_qps = sum / (static_cast<double>(n) * per_win);
-
-  // Complete windows inside the horizon, after the disruption plus settle.
-  const auto post_begin = static_cast<std::size_t>(
-      std::ceil((ev_start + ev_duration + settle_s) / w));
-  const auto post_end = static_cast<std::size_t>(cfg.duration_s / w);
-  sum = 0;
-  n = 0;
-  for (std::size_t i = post_begin; i < post_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.post_qps = sum / (static_cast<double>(n) * per_win);
-  return h;
+  }
+  return hysteresis_around(surviving_only ? surviving : r.answered_per_window,
+                           w, r.trials, ev_start, ev_start + ev_duration,
+                           cfg.duration_s, settle_s);
 }
 
 }  // namespace arch21::cloud

@@ -44,6 +44,7 @@
 
 #include "cloud/policy.hpp"
 #include "cloud/traffic.hpp"
+#include "cloud/trials.hpp"
 #include "cloud/wan.hpp"
 #include "des/resource.hpp"
 #include "util/histogram.hpp"
@@ -208,12 +209,16 @@ struct RegionStats {
   std::uint64_t readmissions = 0;
   double busy_ms = 0;          ///< server-ms of rendered service
   double utilization = 0;      ///< busy / (horizon x servers), per-trial avg
+
+  bool operator==(const RegionStats&) const = default;
 };
 
 /// Per-traffic-class telemetry.
 struct ClassStats {
   std::uint64_t answered = 0;
   std::uint64_t slo_met = 0;  ///< answered within the class SLO
+
+  bool operator==(const ClassStats&) const = default;
 };
 
 /// Simulation output.  Counters are raw so multi-trial aggregates can
@@ -258,6 +263,10 @@ struct MultiRegionResult {
   /// element-wise (after the window/shape checks), per-trial ratios
   /// average weighted by trial counts.
   void merge(const MultiRegionResult& other);
+
+  /// Exact equality of every field, as ClusterResult's: the pool-size
+  /// determinism checks compare whole results with it.
+  bool operator==(const MultiRegionResult&) const = default;
 };
 
 /// Run one seeded multi-region simulation.
@@ -296,23 +305,13 @@ std::vector<MultiRegionScenario> failover_scenarios(
 
 /// Windowed-goodput hysteresis around the regional disruption (blackout
 /// or grayout, whichever the config enables), as cloud::goodput_hysteresis
-/// does for E29: mean goodput over complete windows strictly before the
-/// disruption (window 0 is warmup) vs complete windows after it cleared
-/// plus `settle_s`.  With `surviving_only` the per-serving-region series
+/// does for E29.  With `surviving_only` the per-serving-region series
 /// excludes the disrupted region on both sides -- the "did the failover
 /// wave wreck the healthy regions" measurement.  Returns zeros unless the
 /// config records windows and disrupts a region.
-struct RegionalHysteresis {
-  double pre_qps = 0;
-  double post_qps = 0;
-  double recovery_ratio() const noexcept {
-    return pre_qps > 0 ? post_qps / pre_qps : 0;
-  }
-};
-
-RegionalHysteresis multiregion_hysteresis(const MultiRegionResult& r,
-                                          const MultiRegionConfig& cfg,
-                                          bool surviving_only,
-                                          double settle_s = 2.0);
+GoodputHysteresis multiregion_hysteresis(const MultiRegionResult& r,
+                                         const MultiRegionConfig& cfg,
+                                         bool surviving_only,
+                                         double settle_s = 2.0);
 
 }  // namespace arch21::cloud

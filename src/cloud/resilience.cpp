@@ -1,6 +1,5 @@
 #include "cloud/resilience.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -33,32 +32,7 @@ ClusterResult run_cluster_trials(const ClusterConfig& cfg, unsigned trials,
         "simulate_cluster() run");
   }
 #endif
-  ThreadPool& tp = pool ? *pool : ThreadPool::global();
-  ClusterResult identity;
-  identity.trials = 0;
-  return tp.parallel_reduce<ClusterResult>(
-      trials, std::move(identity), /*grain=*/1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        ClusterResult acc;
-        acc.trials = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          ClusterConfig c = cfg;
-          c.seed = Rng(cfg.seed, i).next();
-          ClusterResult one = simulate_cluster(c);
-          if (acc.trials == 0) {
-            acc = std::move(one);
-          } else {
-            acc.merge(one);
-          }
-        }
-        return acc;
-      },
-      [](ClusterResult acc, ClusterResult chunk) {
-        if (acc.trials == 0) return chunk;
-        if (chunk.trials == 0) return acc;
-        acc.merge(chunk);
-        return acc;
-      });
+  return fold_trials(cfg, trials, pool, simulate_cluster);
 }
 
 ScenarioResult run_scenario(std::string name, const ClusterConfig& cfg,
@@ -281,71 +255,29 @@ std::vector<ScenarioResult> power_scenarios(const ClusterConfig& base,
 
 GrayContainment gray_containment(const ClusterResult& r,
                                  const ClusterConfig& cfg, double settle_s) {
-  GrayContainment c;
   const double w = cfg.goodput_window_s;
-  if (w <= 0 || !cfg.gray.burst_enabled()) return c;
+  if (w <= 0 || !cfg.gray.burst_enabled()) return {};
   const auto& win = r.answered_per_window;
-  auto count = [&](std::size_t i) {
-    return i < win.size() ? static_cast<double>(win[i]) : 0.0;
-  };
-  const double per_win =
-      w * static_cast<double>(std::max(r.trials, 1u));  // -> qps per trial
-  auto mean_over = [&](std::size_t begin, std::size_t end) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (std::size_t i = begin; i < end; ++i, ++n) sum += count(i);
-    return n > 0 ? sum / (static_cast<double>(n) * per_win) : 0.0;
-  };
-
   const double t0 = cfg.gray.burst_start_s;
   const double t1 = t0 + cfg.gray.burst_duration_s;
-  // Complete windows strictly before the burst; window 0 is warmup.
-  c.pre_qps = mean_over(1, static_cast<std::size_t>(t0 / w));
-  // Complete windows inside the burst, past the onset settle (detection
-  // needs a few eval intervals to converge -- the settle excludes the
-  // transient both ladders pay, leaving the steady burst regime).
-  c.during_qps =
-      mean_over(static_cast<std::size_t>(std::ceil((t0 + settle_s) / w)),
-                static_cast<std::size_t>(t1 / w));
-  // Complete windows inside the horizon, after the burst plus settle.
-  c.post_qps =
-      mean_over(static_cast<std::size_t>(std::ceil((t1 + settle_s) / w)),
-                static_cast<std::size_t>(cfg.duration_s / w));
-  return c;
+  const GoodputHysteresis h =
+      hysteresis_around(win, w, r.trials, t0, t1, cfg.duration_s, settle_s);
+  // Inside the burst, past the onset settle (detection needs a few eval
+  // intervals to converge -- the settle excludes the transient both
+  // ladders pay, leaving the steady burst regime).
+  return {h.pre_qps, window_mean_qps(win, w, r.trials, t0 + settle_s, t1),
+          h.post_qps};
 }
 
 GoodputHysteresis goodput_hysteresis(const ClusterResult& r,
                                      const ClusterConfig& cfg,
                                      double settle_s) {
-  GoodputHysteresis h;
   const double w = cfg.goodput_window_s;
-  if (w <= 0 || !cfg.faults.burst_enabled()) return h;
-  const auto& win = r.answered_per_window;
-  auto count = [&](std::size_t i) {
-    return i < win.size() ? static_cast<double>(win[i]) : 0.0;
-  };
-  const double per_win =
-      w * static_cast<double>(std::max(r.trials, 1u));  // -> qps per trial
-
-  // Complete windows strictly before the burst; window 0 is warmup.
-  const auto pre_end =
-      static_cast<std::size_t>(cfg.faults.burst_start_s / w);
-  double sum = 0;
-  std::size_t n = 0;
-  for (std::size_t i = 1; i < pre_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.pre_qps = sum / (static_cast<double>(n) * per_win);
-
-  // Complete windows inside the horizon, after the burst plus settle.
-  const auto post_begin = static_cast<std::size_t>(
-      std::ceil((cfg.faults.burst_start_s + cfg.faults.burst_duration_s +
-                 settle_s) /
-                w));
-  const auto post_end = static_cast<std::size_t>(cfg.duration_s / w);
-  sum = 0;
-  n = 0;
-  for (std::size_t i = post_begin; i < post_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.post_qps = sum / (static_cast<double>(n) * per_win);
-  return h;
+  if (w <= 0 || !cfg.faults.burst_enabled()) return {};
+  const double t0 = cfg.faults.burst_start_s;
+  return hysteresis_around(r.answered_per_window, w, r.trials, t0,
+                           t0 + cfg.faults.burst_duration_s, cfg.duration_s,
+                           settle_s);
 }
 
 }  // namespace arch21::cloud

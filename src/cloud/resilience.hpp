@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cloud/cluster.hpp"
+#include "cloud/trials.hpp"
 #include "util/thread_pool.hpp"
 
 namespace arch21::cloud {
@@ -193,20 +194,8 @@ GrayContainment gray_containment(const ClusterResult& r,
                                  const ClusterConfig& cfg,
                                  double settle_s = 2.0);
 
-/// Windowed-goodput summary of one metastable-failure run: mean goodput
-/// over the complete windows strictly before the fault burst (skipping
-/// window 0 as warmup) vs the complete windows after the burst cleared
-/// plus `settle_s` of slack.  A protected cluster recovers
-/// (recovery_ratio ~ 1); a metastable one does not (the burst is gone
-/// but goodput is not coming back).
-struct GoodputHysteresis {
-  double pre_qps = 0;
-  double post_qps = 0;
-  double recovery_ratio() const noexcept {
-    return pre_qps > 0 ? post_qps / pre_qps : 0;
-  }
-};
-
+/// Windowed-goodput hysteresis around the fault burst of one
+/// metastable-failure run (GoodputHysteresis, cloud/trials.hpp).
 /// Requires cfg.goodput_window_s > 0 and an enabled fault burst;
 /// returns zeros otherwise.  Windows with no answered queries count as
 /// zeros (that IS the metastable signal), and multi-trial aggregates are

@@ -500,25 +500,8 @@ TEST(ClusterGray, StochasticTraceDeterministicAcrossPools) {
   const auto a = cloud::run_cluster_trials(cfg, 3, &p1);
   const auto b = cloud::run_cluster_trials(cfg, 3, &p2);
   const auto c = cloud::run_cluster_trials(cfg, 3, &p4);
-  for (const auto* r : {&b, &c}) {
-    EXPECT_EQ(a.queries, r->queries);
-    EXPECT_EQ(a.ok_queries, r->ok_queries);
-    EXPECT_EQ(a.degraded_queries, r->degraded_queries);
-    EXPECT_EQ(a.failed_queries, r->failed_queries);
-    EXPECT_EQ(a.timeouts, r->timeouts);
-    EXPECT_EQ(a.retries, r->retries);
-    EXPECT_EQ(a.gray_episodes, r->gray_episodes);
-    EXPECT_EQ(a.gray_dropped_replies, r->gray_dropped_replies);
-    EXPECT_EQ(a.gray_evictions, r->gray_evictions);
-    EXPECT_EQ(a.gray_probations, r->gray_probations);
-    EXPECT_EQ(a.gray_zombies, r->gray_zombies);
-    EXPECT_EQ(a.gray_redirected_sends, r->gray_redirected_sends);
-    EXPECT_DOUBLE_EQ(a.adaptive_deadline_ms, r->adaptive_deadline_ms);
-    EXPECT_EQ(a.breaker_open_transitions, r->breaker_open_transitions);
-    EXPECT_EQ(a.answered_per_window, r->answered_per_window);
-    EXPECT_DOUBLE_EQ(a.query_ms.quantile(0.99), r->query_ms.quantile(0.99));
-    EXPECT_DOUBLE_EQ(a.sum_result_quality, r->sum_result_quality);
-  }
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a == c);
   EXPECT_GT(a.gray_episodes, 3u);  // the trace added episodes of its own
 }
 
@@ -535,16 +518,7 @@ TEST(ClusterGray, DisabledKnobsAreByteIdentical) {
   tweaked.policy.gray = cluster_det_policy();
   tweaked.policy.gray.enabled = false;
   const auto r = cloud::simulate_cluster(tweaked);
-  EXPECT_EQ(base.queries, r.queries);
-  EXPECT_EQ(base.ok_queries, r.ok_queries);
-  EXPECT_EQ(base.degraded_queries, r.degraded_queries);
-  EXPECT_EQ(base.failed_queries, r.failed_queries);
-  EXPECT_EQ(base.timeouts, r.timeouts);
-  EXPECT_EQ(base.retries, r.retries);
-  EXPECT_EQ(base.leaf_requests, r.leaf_requests);
-  EXPECT_EQ(base.answered_per_window, r.answered_per_window);
-  EXPECT_DOUBLE_EQ(base.query_ms.quantile(0.99), r.query_ms.quantile(0.99));
-  EXPECT_DOUBLE_EQ(base.sum_result_quality, r.sum_result_quality);
+  EXPECT_TRUE(base == r);
   EXPECT_EQ(r.gray_episodes, 0u);
   EXPECT_EQ(r.gray_evictions, 0u);
 }

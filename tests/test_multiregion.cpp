@@ -461,10 +461,7 @@ TEST(MultiRegion, ConservesRequestsAndWindows) {
               0.8 * static_cast<double>(c.answered));
   }
   // And the run is deterministic.
-  const auto r2 = simulate_multiregion(cfg);
-  EXPECT_EQ(r.answered, r2.answered);
-  EXPECT_EQ(r.attempts, r2.attempts);
-  EXPECT_TRUE(r.request_ms == r2.request_ms);
+  EXPECT_TRUE(r == simulate_multiregion(cfg));
 }
 
 TEST(MultiRegion, LatencyRoutingKeepsTrafficLocal) {
@@ -702,39 +699,8 @@ TEST(MultiRegion, TrialsBitIdenticalAcrossPoolSizes) {
 
   EXPECT_GT(r1.link_failures, 0u);
   EXPECT_EQ(r1.trials, 5u);
-  auto expect_same = [](const MultiRegionResult& a,
-                        const MultiRegionResult& b) {
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.answered, b.answered);
-    EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.timeouts, b.timeouts);
-    EXPECT_EQ(a.lost_requests, b.lost_requests);
-    EXPECT_EQ(a.link_failures, b.link_failures);
-    EXPECT_DOUBLE_EQ(a.goodput_qps, b.goodput_qps);
-    EXPECT_DOUBLE_EQ(a.attempt_amplification, b.attempt_amplification);
-    EXPECT_TRUE(a.request_ms == b.request_ms);
-    EXPECT_TRUE(a.service_ms == b.service_ms);
-    EXPECT_EQ(a.answered_per_window, b.answered_per_window);
-    EXPECT_EQ(a.region_answered_per_window, b.region_answered_per_window);
-    ASSERT_EQ(a.regions.size(), b.regions.size());
-    for (std::size_t i = 0; i < a.regions.size(); ++i) {
-      EXPECT_EQ(a.regions[i].routed, b.regions[i].routed);
-      EXPECT_EQ(a.regions[i].completed, b.regions[i].completed);
-      EXPECT_EQ(a.regions[i].lost, b.regions[i].lost);
-      EXPECT_EQ(a.regions[i].evictions, b.regions[i].evictions);
-      EXPECT_DOUBLE_EQ(a.regions[i].utilization, b.regions[i].utilization);
-    }
-    ASSERT_EQ(a.classes.size(), b.classes.size());
-    for (std::size_t i = 0; i < a.classes.size(); ++i) {
-      EXPECT_EQ(a.classes[i].answered, b.classes[i].answered);
-      EXPECT_EQ(a.classes[i].slo_met, b.classes[i].slo_met);
-    }
-  };
-  expect_same(r1, r2);
-  expect_same(r1, r4);
+  EXPECT_TRUE(r1 == r2);
+  EXPECT_TRUE(r1 == r4);
 }
 
 TEST(MultiRegion, LadderRungsAreOrderedByProtection) {

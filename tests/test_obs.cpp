@@ -332,22 +332,7 @@ TEST(TraceIntegration, TracingDoesNotPerturbResults) {
   m.set_enabled(false);
 
   EXPECT_GT(trace.size(), 0u);
-  EXPECT_EQ(plain.queries, traced.queries);
-  EXPECT_EQ(plain.ok_queries, traced.ok_queries);
-  EXPECT_EQ(plain.degraded_queries, traced.degraded_queries);
-  EXPECT_EQ(plain.failed_queries, traced.failed_queries);
-  EXPECT_EQ(plain.retries, traced.retries);
-  EXPECT_EQ(plain.hedges, traced.hedges);
-  EXPECT_EQ(plain.timeouts, traced.timeouts);
-  EXPECT_EQ(plain.leaf_requests, traced.leaf_requests);
-  EXPECT_EQ(plain.query_ms.count(), traced.query_ms.count());
-  EXPECT_DOUBLE_EQ(plain.query_ms.quantile(0.5),
-                   traced.query_ms.quantile(0.5));
-  EXPECT_DOUBLE_EQ(plain.query_ms.quantile(0.99),
-                   traced.query_ms.quantile(0.99));
-  EXPECT_DOUBLE_EQ(plain.sum_result_quality, traced.sum_result_quality);
-  EXPECT_DOUBLE_EQ(plain.mean_leaf_utilization,
-                   traced.mean_leaf_utilization);
+  EXPECT_TRUE(plain == traced);
 }
 
 TEST(TraceIntegration, ClusterMetricsPublishedToGlobalRegistry) {

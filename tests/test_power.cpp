@@ -532,15 +532,8 @@ TEST(ClusterPowercap, MergeRejectsMismatchedCaps) {
 TEST(ClusterPowercap, TrialsAreBitIdenticalAcrossPoolSizes) {
   const auto cfg = small_capped_config(cloud::PowercapPolicy::kGovernor);
   ThreadPool p1(1), p2(2);
-  const auto r1 = cloud::run_cluster_trials(cfg, 3, &p1);
-  const auto r2 = cloud::run_cluster_trials(cfg, 3, &p2);
-  EXPECT_EQ(r1.queries, r2.queries);
-  EXPECT_EQ(r1.ok_queries, r2.ok_queries);
-  EXPECT_EQ(r1.power_shed_queries, r2.power_shed_queries);
-  EXPECT_EQ(r1.power_gate_stalls, r2.power_gate_stalls);
-  EXPECT_EQ(r1.energy_j, r2.energy_j);  // bitwise
-  EXPECT_EQ(r1.peak_window_w, r2.peak_window_w);
-  EXPECT_EQ(r1.energy_j_per_window, r2.energy_j_per_window);
+  EXPECT_TRUE(cloud::run_cluster_trials(cfg, 3, &p1) ==
+              cloud::run_cluster_trials(cfg, 3, &p2));
 }
 
 TEST(PowerScenarios, LadderNamesAndUncappedReference) {

@@ -255,17 +255,7 @@ TEST(ClusterResilience, DeterministicUnderFaultsAndPolicies) {
   cfg.policy.budget.enabled = true;
   cfg.policy.hedge_after_ms = 25;
   cfg.policy.quorum = {.quorum_fraction = 0.9, .deadline_ms = 80};
-  const auto a = cloud::simulate_cluster(cfg);
-  const auto b = cloud::simulate_cluster(cfg);
-  EXPECT_EQ(a.queries, b.queries);
-  EXPECT_EQ(a.ok_queries, b.ok_queries);
-  EXPECT_EQ(a.degraded_queries, b.degraded_queries);
-  EXPECT_EQ(a.failed_queries, b.failed_queries);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.lost_requests, b.lost_requests);
-  EXPECT_DOUBLE_EQ(a.query_ms.quantile(0.99), b.query_ms.quantile(0.99));
-  EXPECT_DOUBLE_EQ(a.sum_result_quality, b.sum_result_quality);
+  EXPECT_TRUE(cloud::simulate_cluster(cfg) == cloud::simulate_cluster(cfg));
 }
 
 TEST(ClusterResilience, RetriesRecoverGoodputLostToFailures) {
@@ -378,21 +368,8 @@ TEST(ClusterTrials, BitIdenticalAcrossPoolSizes) {
   const auto c = cloud::run_cluster_trials(cfg, 6, &p4);
 
   EXPECT_EQ(a.trials, 6u);
-  for (const auto* r : {&b, &c}) {
-    EXPECT_EQ(a.queries, r->queries);
-    EXPECT_EQ(a.ok_queries, r->ok_queries);
-    EXPECT_EQ(a.degraded_queries, r->degraded_queries);
-    EXPECT_EQ(a.failed_queries, r->failed_queries);
-    EXPECT_EQ(a.retries, r->retries);
-    EXPECT_EQ(a.lost_requests, r->lost_requests);
-    EXPECT_EQ(a.query_ms.count(), r->query_ms.count());
-    EXPECT_DOUBLE_EQ(a.query_ms.quantile(0.5), r->query_ms.quantile(0.5));
-    EXPECT_DOUBLE_EQ(a.query_ms.quantile(0.99), r->query_ms.quantile(0.99));
-    EXPECT_DOUBLE_EQ(a.sum_result_quality, r->sum_result_quality);
-    EXPECT_DOUBLE_EQ(a.goodput_qps, r->goodput_qps);
-    EXPECT_DOUBLE_EQ(a.availability_measured, r->availability_measured);
-    EXPECT_DOUBLE_EQ(a.retry_amplification, r->retry_amplification);
-  }
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a == c);
 }
 
 #if ARCH21_OBS_ENABLED
@@ -419,23 +396,7 @@ TEST(ClusterTrials, MetricsDoNotPerturbResultsAtAnyPoolSize) {
   }
   m.set_enabled(false);
 
-  for (const auto& r : instrumented) {
-    EXPECT_EQ(base.queries, r.queries);
-    EXPECT_EQ(base.ok_queries, r.ok_queries);
-    EXPECT_EQ(base.degraded_queries, r.degraded_queries);
-    EXPECT_EQ(base.failed_queries, r.failed_queries);
-    EXPECT_EQ(base.retries, r.retries);
-    EXPECT_EQ(base.hedges, r.hedges);
-    EXPECT_EQ(base.timeouts, r.timeouts);
-    EXPECT_EQ(base.lost_requests, r.lost_requests);
-    EXPECT_EQ(base.budget_denials, r.budget_denials);
-    EXPECT_EQ(base.query_ms.count(), r.query_ms.count());
-    EXPECT_DOUBLE_EQ(base.query_ms.quantile(0.5), r.query_ms.quantile(0.5));
-    EXPECT_DOUBLE_EQ(base.query_ms.quantile(0.99), r.query_ms.quantile(0.99));
-    EXPECT_DOUBLE_EQ(base.sum_result_quality, r.sum_result_quality);
-    EXPECT_DOUBLE_EQ(base.goodput_qps, r.goodput_qps);
-    EXPECT_DOUBLE_EQ(base.retry_amplification, r.retry_amplification);
-  }
+  for (const auto& r : instrumented) EXPECT_TRUE(base == r);
 }
 
 TEST(ClusterTrials, TracedSingleTrialMatchesUntraced) {
@@ -451,14 +412,7 @@ TEST(ClusterTrials, TracedSingleTrialMatchesUntraced) {
   const auto traced = cloud::simulate_cluster(traced_cfg);
 
   EXPECT_GT(trace.size(), 0u);
-  EXPECT_EQ(plain.queries, traced.queries);
-  EXPECT_EQ(plain.ok_queries, traced.ok_queries);
-  EXPECT_EQ(plain.degraded_queries, traced.degraded_queries);
-  EXPECT_EQ(plain.failed_queries, traced.failed_queries);
-  EXPECT_EQ(plain.lost_requests, traced.lost_requests);
-  EXPECT_DOUBLE_EQ(plain.query_ms.quantile(0.99),
-                   traced.query_ms.quantile(0.99));
-  EXPECT_DOUBLE_EQ(plain.sum_result_quality, traced.sum_result_quality);
+  EXPECT_TRUE(plain == traced);
 }
 #endif  // ARCH21_OBS_ENABLED
 
