@@ -30,6 +30,12 @@ echo "== tier-1: power-cap drill smoke (energy contract + policy ladder) =="
 cmake --build build -j "$(nproc)" --target bench_power
 (cd build && ./bench/bench_power --smoke)
 
+# The E26 ladder has no smoke size: its full run takes about a second.
+# Its exit code is the pools {1, 2, N} whole-result identity check.
+echo "== tier-1: resilience ladder (pool identity, E26) =="
+cmake --build build -j "$(nproc)" --target bench_resilience
+(cd build && ./bench/bench_resilience)
+
 echo "== tier-1: ThreadSanitizer pass =="
 cmake -B build-tsan -S . -DARCH21_SAN=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" --target \
@@ -86,7 +92,10 @@ echo "== tier-1: UndefinedBehaviorSanitizer smoke (histogram, obs, engines) =="
 # a 32-bit value by 32), powercap and the golden cells run here too, as
 # do the DES kernel suites, which drive the ladder's double -> uint64_t
 # bucket-index math through anchors, re-fits and overflow migration.
-cmake -B build-ubsan -S . -DARCH21_SAN=undefined >/dev/null
+# GCC's -fsanitize=undefined leaves out float-cast-overflow, the check
+# that catches those float -> integer casts of NaN or out-of-range
+# values, so it is named explicitly.
+cmake -B build-ubsan -S . -DARCH21_SAN=undefined,float-cast-overflow >/dev/null
 cmake --build build-ubsan -j "$(nproc)" --target test_histogram test_obs \
   test_des test_des_queue test_resilience test_overload test_grayfail \
   test_pdes test_multiregion test_power test_golden
